@@ -106,23 +106,27 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, val: str):
-    if key in ("k", "s", "seed", "levels", "points", "h_max", "x_range",
-               "budget_ops", "budget_grid"):
-        return int(val)
-    if key in ("theta", "delta", "W"):
-        return float(val)
-    if key in ("paper_faithful", "quick"):
-        return val.lower() in ("1", "true", "yes", "on")
-    if key == "P":
-        return [float(v) for v in val.split(",")]
-    if key == "q":
-        return [int(v) for v in val.split(",")]
-    if key == "k_range":
-        a, b = val.split(":")
-        return (int(a), int(b))
-    if key == "tpq":
-        a, b = val.split(",")
-        return (int(a), int(b))
+    """Typed value of a flag or config entry given as text."""
+    try:
+        if key in ("k", "s", "seed", "levels", "points", "h_max", "x_range",
+                   "budget_ops", "budget_grid"):
+            return int(val)
+        if key in ("theta", "delta", "W"):
+            return float(val)
+        if key in ("paper_faithful", "quick"):
+            return val.lower() in ("1", "true", "yes", "on")
+        if key == "P":
+            return [float(v) for v in val.split(",")]
+        if key == "q":
+            return [int(v) for v in val.split(",")]
+        if key == "k_range":
+            a, b = val.split(":")
+            return (int(a), int(b))
+        if key == "tpq":
+            a, b = val.split(",")
+            return (int(a), int(b))
+    except ValueError as exc:
+        raise ConfigError(f"bad value {val!r} for {key}: {exc}") from exc
     return val
 
 
@@ -184,17 +188,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key)
         if val is None:
             continue
-        if key == "P":
-            val = [float(v) for v in str(val).split(",")]
-        elif key == "k_range":
-            a, b = str(val).split(":")
-            val = (int(a), int(b))
-        elif key == "q":
-            val = [int(v) for v in str(val).split(",")]
-        elif key == "tpq":
-            a, b = str(val).split(",")
-            val = (int(a), int(b))
-        setattr(cfg, key, val)
+        # argparse has already typed every flag that is not given as text
+        setattr(cfg, key, _coerce(key, val) if isinstance(val, str) else val)
     try:
         cfg.validate()
     except ConfigError:
@@ -293,7 +288,10 @@ def _cmd_count(cfg: RunConfig) -> int:
     if cfg.k is None:
         raise ConfigError("count needs --k")
     s = cfg.s or 2
-    imported = smooth_sets.read_set(cfg.set) if cfg.set else None
+    try:
+        imported = smooth_sets.read_set(cfg.set) if cfg.set else None
+    except OSError as exc:
+        raise ConfigError(f"cannot read set file {cfg.set}: {exc}") from exc
     if imported is not None and not cfg.P:
         cfg.P = [float(max(imported.elements))]
     if not cfg.P:

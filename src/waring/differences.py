@@ -19,21 +19,9 @@ from itertools import product
 
 from .errors import BudgetError, DivisibilityError, DomainError
 from .phases import unit_sum
+from .smooth_sets import is_prime
 
 F_I_SUM_BUDGET = 10**8
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ def psi(k: int, h, p) -> DiffChain:
         if v < 1:
             raise DomainError(f"step h={v} must be positive")
     for v in p:
-        if not _is_prime(v):
+        if not is_prime(v):
             raise DomainError(f"{v} is not prime")
     moduli = tuple(v**k for v in p)
     poly = IntPolynomial.x_power(k)

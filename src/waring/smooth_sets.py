@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError, EmptyWindowError, WidthOverflowError
 
 SIEVE_LIMIT = 10**9
@@ -35,7 +37,11 @@ class PrimeWindow:
 
 
 def primes_in(lo: int, hi: int) -> PrimeWindow:
-    """Exact primes in [lo, hi] by a chunked segmented sieve."""
+    """Exact primes in [lo, hi] by a segmented sieve.
+
+    In each segment every prime up to sqrt(hi) crosses off its multiples
+    with one slice assignment.
+    """
     if hi < lo:
         raise DomainError(f"empty range: hi={hi} < lo={lo}")
     if lo < 2:
@@ -43,24 +49,36 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
     if hi > SIEVE_LIMIT:
         raise DomainError(f"hi={hi} exceeds sieve limit {SIEVE_LIMIT}")
     root = math.isqrt(hi)
-    base = bytearray([1]) * (root + 1)
-    base[0:2] = b"\x00\x00"
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
-            base[p * p :: p] = b"\x00" * len(base[p * p :: p])
-    small = [p for p in range(2, root + 1) if base[p]]
+            base[p * p::p] = False
+    small = np.flatnonzero(base).tolist()
     out: list[int] = []
-    start = lo
-    while start <= hi:
-        stop = min(start + _SEGMENT - 1, hi)
-        seg = bytearray([1]) * (stop - start + 1)
+    for start in range(lo, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        seg = np.ones(stop - start, dtype=bool)
         for p in small:
-            first = max(p * p, (start + p - 1) // p * p)
-            for m in range(first, stop + 1, p):
-                seg[m - start] = 0
-        out.extend(n for n in range(start, stop + 1) if seg[n - start] and n >= 2)
-        start = stop + 1
+            if p * p >= stop:
+                break
+            seg[max(p * p, -(-start // p) * p) - start::p] = False
+        out.extend((np.flatnonzero(seg) + start).tolist())
     return PrimeWindow(lo=lo, hi=hi, primes=tuple(out))
+
+
+def is_prime(n: int) -> bool:
+    """Primality of one number by trial division; primes_in enumerates ranges."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def window_for_size(size: float) -> PrimeWindow:

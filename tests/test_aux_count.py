@@ -1,7 +1,12 @@
 import math
 import random
+from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
@@ -143,6 +148,67 @@ class TestTpqCount:
         t = ac.t_pq_count(E, 2, 2, 2, 5).S
         s1 = ac.s_count(E, 1, 2).S
         assert 0 < t <= 4 * len(E) * s1
+
+
+class TestInt64Kernel:
+    """The int64 kernel and the bound that selects it, against the oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
+           s=st.integers(1, 3), k=st.integers(1, 5))
+    def test_s_count_matches_brute_force(self, X, s, k):
+        assert ac.s_count(X, s, k).S == ac.brute_force_s_count(X, s, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_t_pq_matches_brute_force(self, data):
+        p, q = data.draw(st.sampled_from([(2, 3), (3, 2), (2, 5), (5, 3), (3, 7)]))
+        s = data.draw(st.integers(2, 3))
+        E = data.draw(st.lists(st.integers(-30, 30).filter(lambda x: x % p),
+                               min_size=1, max_size=6 if s == 2 else 4,
+                               unique=True))
+        k = data.draw(st.integers(1, 4))
+        assert ac.t_pq_count(E, s, k, p, q).S == ac.brute_force_t_pq(E, s, k, p, q)
+
+    @pytest.mark.parametrize("X,dtype", [
+        # k=1, s=2: 2 * max|x| is 2^63 - 2, just inside the int64 bound
+        ([2**62 - 3, 2**62 - 2, 2**62 - 1], np.int64),
+        ([-(2**62) + 1, -5, 7, 2**62 - 1], np.int64),
+        # 2 * max|x| reaches 2^63: the Python-int route
+        ([2**62 - 2, 2**62 - 1, 2**62], object),
+        ([-(2**62), -5, 7, 2**62 - 1], object),
+    ])
+    def test_s_count_at_the_int64_edge(self, X, dtype):
+        assert ac.rep_function([X] * 2, 1).values.dtype == dtype
+        assert ac.s_count(X, 2, 1).S == ac.brute_force_s_count(X, 2, 1)
+
+    @pytest.mark.parametrize("T,on_kernel", [
+        (1537228672809129301, True),    # 6T < 2^63: q(y - x) reaches 6T
+        (1537228672809129303, False),   # 6T > 2^63: Python ints
+    ])
+    def test_t_pq_at_the_int64_edge(self, monkeypatch, T, on_kernel):
+        calls = []
+        kernel = ac._convolve_int64
+        monkeypatch.setattr(ac, "_convolve_int64",
+                            lambda a, b: calls.append(1) or kernel(a, b))
+        E = [-T, 1, T]
+        assert ac.t_pq_count(E, 2, 1, 2, 3).S == ac.brute_force_t_pq(E, 2, 1, 2, 3)
+        assert bool(calls) == on_kernel
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_many_row_blocks(self, monkeypatch, block):
+        X = list(range(1, 40))
+        want = Counter(map(sum, product([x**3 for x in X], repeat=3)))
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", block)
+        rep = ac.rep_function([X] * 3, 3)
+        assert rep.table == want
+        assert list(rep.values) == sorted(rep.values)
+        assert ac.s_count(X, 3, 3).S == sum(c * c for c in want.values())
+        assert ac.t_pq_count(X[::2], 2, 3, 2, 3).S == ac.brute_force_t_pq(X[::2], 2, 3, 2, 3)
+
+    def test_table_holds_python_ints(self):
+        table = ac.rep_function([[1, 2, 3]] * 2, 3).table
+        assert all(type(v) is int and type(c) is int for v, c in table.items())
 
 
 class TestLemma1:

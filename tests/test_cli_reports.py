@@ -100,6 +100,29 @@ class TestConfigHandling:
         code, _, err = run_cli(["bounds"], capsys)
         assert code == 2
 
+    def test_k_range_without_colon_is_config_error(self, capsys):
+        code, _, err = run_cli(["bounds", "--k-range", "10"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_missing_set_file_is_config_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, _, err = run_cli(["count", "--k", "3", "--set", str(missing)],
+                               capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "missing.txt" in record["message"]
+
+    def test_non_integer_config_value_is_config_error(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("k = abc\n")
+        code, _, err = run_cli(["bounds", "--config", str(cfgfile)], capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "abc" in record["message"]
+
 
 class TestBudgetExit:
     def test_budget_error_exit_code(self, capsys):

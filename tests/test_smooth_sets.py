@@ -37,6 +37,39 @@ class TestPrimesIn:
             sm.primes_in(2, 10**9 + 1)
 
 
+def _plain_sieve(lo, hi):
+    flags = bytearray([1]) * (hi + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    return tuple(n for n in range(lo, hi + 1) if flags[n])
+
+
+class TestSegmentedSieve:
+    @pytest.mark.parametrize("lo,hi", [
+        (2, 2), (2, 3), (3, 3), (2, 4), (3, 100),
+        (2, sm._SEGMENT + 1000),
+        (3, 2 * sm._SEGMENT + 5),
+        (5 * 10**6 - 7, 5 * 10**6 + sm._SEGMENT + 17),
+    ])
+    def test_matches_plain_sieve(self, lo, hi):
+        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 3000), (3, 3000), (49, 2500),
+                                       (121, 169)])
+    def test_many_segments(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(sm, "_SEGMENT", 64)
+        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+
+    def test_primes_are_python_ints(self):
+        assert all(type(p) is int for p in sm.primes_in(2, 100).primes)
+
+    def test_is_prime_matches_sieve(self):
+        primes = set(_plain_sieve(2, 5000))
+        assert [n for n in range(-5, 5001) if sm.is_prime(n)] == sorted(primes)
+
+
 class TestBuildSingle:
     def test_all_products_distinct(self):
         out = sm.build_single([1, 2, 3], sm.PrimeWindow(5, 7, (5, 7)))
