@@ -295,22 +295,30 @@ def report_lines(results) -> list:
     return out
 
 
-def criterion_14(seed: int = 0, quick: bool = False) -> CriterionResult:
-    """Two runs with one seed produce byte-identical report bodies."""
+def criterion_14(seed: int = 0, quick: bool = False,
+                 first: list | None = None) -> CriterionResult:
+    """Two runs with one seed produce byte-identical report bodies.
+
+    `first` is a run of criteria 1..13 already made with this seed and mode
+    (run_all passes the run it reports); it is compared with one fresh run.
+    Without it, both runs are made here.
+    """
     t0 = time.perf_counter()
-    first = "\n".join(report_lines(run_criteria(seed=seed, quick=quick)))
-    second = "\n".join(report_lines(run_criteria(seed=seed, quick=quick)))
-    ok = first == second
+    if first is None:
+        first = run_criteria(seed=seed, quick=quick)
+    first_body = "\n".join(report_lines(first))
+    second_body = "\n".join(report_lines(run_criteria(seed=seed, quick=quick)))
+    ok = first_body == second_body
     return _result(14, "reproducibility", ok,
-                   f"bytes={len(first)} identical={ok}", t0)
+                   f"bytes={len(first_body)} identical={ok}", t0)
 
 
 def run_criteria(seed: int = 0, quick: bool = False) -> list:
-    """Criteria 1..13 (criterion 14 wraps this twice)."""
+    """Criteria 1..13."""
     return [fn(seed=seed, quick=quick) for fn in _CRITERIA]
 
 
 def run_all(seed: int = 0, quick: bool = False) -> list:
     results = run_criteria(seed=seed, quick=quick)
-    results.append(criterion_14(seed=seed, quick=quick))
+    results.append(criterion_14(seed=seed, quick=quick, first=results))
     return results

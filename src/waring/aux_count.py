@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -339,10 +339,7 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
             f"no primes in the top window [{window.lo}, {window.hi}]")
     report = lemma1_sides(inner.elements, window, s, k, P,
                           budget_ops=budget_ops)
-    return Lemma1Report(lhs=report.lhs, rhs=report.rhs, ratio=report.ratio,
-                        Z=report.Z, inner_size=report.inner_size,
-                        outer_size=report.outer_size, P=float(P), theta=theta,
-                        base_levels=base_levels)
+    return replace(report, theta=theta, base_levels=base_levels)
 
 
 def exponent_fit(runs) -> ExponentFit:

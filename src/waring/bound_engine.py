@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, RootBracketError
 
@@ -46,8 +47,9 @@ class ExponentTable:
     """lambda_s and Delta(s) = lambda_s - (2s - k) for s = 2..s_max.
 
     thetas_used[0] is NaN (the seed s = 2 uses no construction exponent).
-    For the coupled policy, `variant` holds the same table computed with the
-    full two-term schedule formula instead of the truncated 1/(k + Delta).
+    For the coupled policy, `variant` is the same table computed with the
+    full two-term schedule formula instead of the truncated 1/(k + Delta);
+    it is built on first read.  Other policies have no variant (None).
     """
 
     k: int
@@ -56,7 +58,12 @@ class ExponentTable:
     lambdas: tuple[float, ...]
     deltas: tuple[float, ...]
     thetas_used: tuple[float, ...]
-    variant: "ExponentTable | None" = None
+
+    @cached_property
+    def variant(self) -> "ExponentTable | None":
+        if self.policy != "coupled":
+            return None
+        return _delta_steps(self.k, self.s_max, full=True)
 
     @property
     def s_max(self) -> int:
@@ -235,15 +242,12 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     """Coupled iteration Delta(s) = (Delta(s-1) + k*theta - 1)/(1 + theta)
     with theta = 1/(k + Delta(s-1)), seeded at Delta(2) = k - 2.
 
-    The returned table's `variant` carries the same iteration driven by the
-    full two-term schedule value of theta_1 instead of the truncation.
+    The returned table's `variant`, computed on its first read, carries the
+    same iteration driven by the full two-term schedule value of theta_1
+    instead of the truncation.
     """
     _check_ks(k, s_max)
-    table = _delta_steps(k, s_max, full=False)
-    full = _delta_steps(k, s_max, full=True)
-    return ExponentTable(k=table.k, policy=table.policy, theta=None,
-                         lambdas=table.lambdas, deltas=table.deltas,
-                         thetas_used=table.thetas_used, variant=full)
+    return _delta_steps(k, s_max, full=False)
 
 
 def _ceil_int(x: float) -> int:

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import acceptance, aux_count, bound_engine, differences, expsum_arcs, \
@@ -29,13 +29,6 @@ from .errors import BudgetError, WaringError
 
 class ConfigError(WaringError):
     pass
-
-
-_CONFIG_KEYS = {
-    "command", "k", "k_range", "theorem", "P", "theta", "s", "budget_ops",
-    "budget_grid", "seed", "format", "out", "paper_faithful", "levels",
-    "delta", "q", "W", "points", "quick", "h_max", "x_range", "tpq", "set",
-}
 
 
 @dataclass
@@ -83,6 +76,9 @@ class RunConfig:
             raise ConfigError(f"theorem must be 1 or 2, got {self.theorem!r}")
         if any(p <= 0 for p in self.P):
             raise ConfigError("P values must be positive")
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -136,17 +132,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None)
-        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--k", default=None)
         p.add_argument("--k-range", dest="k_range", default=None,
                        help="inclusive range a:b")
-        p.add_argument("--theorem", choices=("1", "2"), default=None)
+        p.add_argument("--theorem", default=None, help="1 or 2")
         p.add_argument("--P", default=None, help="comma-separated list")
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--budget-ops", dest="budget_ops", type=int, default=None)
-        p.add_argument("--budget-grid", dest="budget_grid", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--theta", default=None)
+        p.add_argument("--s", default=None)
+        p.add_argument("--budget-ops", dest="budget_ops", default=None)
+        p.add_argument("--budget-grid", dest="budget_grid", default=None)
+        p.add_argument("--seed", default=None)
+        p.add_argument("--format", default=None, help="csv or json")
         p.add_argument("--out", default=None)
         p.add_argument("--paper-faithful", dest="paper_faithful",
                        action="store_true", default=None)
@@ -159,17 +155,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", default=None,
                            help="set file to count over instead of [1..P]")
         if name == "smooth":
-            p.add_argument("--levels", type=int, default=None)
-            p.add_argument("--delta", type=float, default=None)
+            p.add_argument("--levels", default=None)
+            p.add_argument("--delta", default=None)
             p.add_argument("--q", default=None, help="comma-separated moduli")
         if name == "arcs":
-            p.add_argument("--W", type=float, default=None)
-            p.add_argument("--points", type=int, default=None)
+            p.add_argument("--W", default=None)
+            p.add_argument("--points", default=None)
         if name == "diff":
-            p.add_argument("--levels", type=int, default=None)
-            p.add_argument("--delta", type=float, default=None)
-            p.add_argument("--h-max", dest="h_max", type=int, default=None)
-            p.add_argument("--x-range", dest="x_range", type=int, default=None)
+            p.add_argument("--levels", default=None)
+            p.add_argument("--delta", default=None)
+            p.add_argument("--h-max", dest="h_max", default=None)
+            p.add_argument("--x-range", dest="x_range", default=None)
         if name == "verify":
             p.add_argument("--quick", action="store_true", default=None)
     return top
@@ -188,12 +184,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key)
         if val is None:
             continue
-        # argparse has already typed every flag that is not given as text
+        # store_true flags arrive as booleans, every other value as text
         setattr(cfg, key, _coerce(key, val) if isinstance(val, str) else val)
     try:
         cfg.validate()
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -293,6 +287,8 @@ def _cmd_count(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read set file {cfg.set}: {exc}") from exc
     if imported is not None and not cfg.P:
+        if not imported.elements:
+            raise ConfigError(f"set file {cfg.set} is empty; give --P")
         cfg.P = [float(max(imported.elements))]
     if not cfg.P:
         raise ConfigError("count needs --P or --set")

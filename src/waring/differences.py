@@ -140,6 +140,18 @@ def psi(k: int, h, p) -> DiffChain:
     return DiffChain(k=k, h=h, p=p, moduli=moduli, result=poly)
 
 
+def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
+    """Frequencies q^k * psi_i(x; h; p^k) for h_j in [1, H_j], p in the
+    product of the windows and x in [1, x_range], x innermost."""
+    qk = q**k
+    out = []
+    for hs in product(*(range(1, b + 1) for b in H)):
+        for ps in product(*windows):
+            poly = psi(k, hs, ps).result
+            out.extend(qk * poly.evaluate(x) for x in range(1, x_range + 1))
+    return tuple(out)
+
+
 def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
             budget: int = F_I_SUM_BUDGET) -> complex:
     """Nested sum of e(q^k * psi_i(x; h; p^k) * alpha) over all ranges.
@@ -160,14 +172,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed budget {budget}",
                           predicted=terms, budget=budget)
-    qk = q**k
-    total = 0j
-    for hs in product(*(range(1, b + 1) for b in H)):
-        for ps in product(*wins):
-            poly = psi(k, hs, ps).result
-            freqs = [qk * poly.evaluate(x) for x in range(1, x_range + 1)]
-            total += unit_sum(freqs, alpha)
-    return total
+    return unit_sum(nested_frequencies(q, k, H, wins, x_range), alpha)
 
 
 # ---------------------------------------------------------------------------

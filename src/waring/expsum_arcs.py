@@ -114,15 +114,8 @@ def frequencies(spec: ExpSumSpec) -> tuple:
         return tuple(p**spec.k * x**spec.k
                      for p in spec.primes for x in spec.elements)
     if isinstance(spec, DifferenceSum):
-        from itertools import product as iproduct
-        qk = spec.q**spec.k
-        out = []
-        for hs in iproduct(*(range(1, b + 1) for b in spec.H)):
-            for ps in iproduct(*spec.windows):
-                poly = differences.psi(spec.k, hs, ps).result
-                out.extend(qk * poly.evaluate(x)
-                           for x in range(1, spec.x_range + 1))
-        return tuple(out)
+        return differences.nested_frequencies(spec.q, spec.k, spec.H,
+                                              spec.windows, spec.x_range)
     raise DomainError(f"unknown spec {spec!r}")
 
 
@@ -240,12 +233,13 @@ class ArcDissection:
         return self._merged(self.raw_narrow_arcs())
 
     def minor_intervals(self) -> list:
-        return _complement(self.interval, self.major_intervals())
+        return _subtract(self.interval, self.major_intervals())
 
     def major_minus_narrow_intervals(self) -> list:
+        narrow = self.narrow_intervals()
         out = []
         for lo, hi in self.major_intervals():
-            out.extend(_subtract((lo, hi), self.narrow_intervals()))
+            out.extend(_subtract((lo, hi), narrow))
         return out
 
     def region_intervals(self, region: str) -> list:
@@ -260,20 +254,8 @@ class ArcDissection:
         return table[region]()
 
 
-def _complement(interval, ivs) -> list:
-    lo0, hi0 = interval
-    out = []
-    cur = lo0
-    for lo, hi in ivs:
-        if lo > cur:
-            out.append((cur, lo))
-        cur = max(cur, hi)
-    if cur < hi0:
-        out.append((cur, hi0))
-    return out
-
-
 def _subtract(interval, ivs) -> list:
+    """Parts of interval not covered by the sorted, disjoint ivs."""
     out = []
     cur = interval[0]
     for lo, hi in ivs:
@@ -452,8 +434,7 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
                           "use exact_moment for region='full'")
     if samples_per_arc < 16:
         raise DomainError(f"samples_per_arc must be >= 16, got {samples_per_arc}")
-    region = {"major_minus_N": "major_minus_narrow"}.get(m.region, m.region)
-    ivs = d.region_intervals(region)
+    ivs = d.region_intervals(m.region)
 
     def pass_at(n: int) -> complex:
         acc = 0j
@@ -468,7 +449,7 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
     coarse = pass_at(max(8, samples_per_arc // 2))
     value = fine.real
     err = abs(fine - coarse) + (abs(fine.imag) if not m.absolute else 0.0)
-    return ArcMomentResult(value=value, err_est=err, region=region,
+    return ArcMomentResult(value=value, err_est=err, region=m.region,
                            n_intervals=len(ivs),
                            measure=sum(hi - lo for lo, hi in ivs),
                            samples_per_arc=samples_per_arc)

@@ -14,12 +14,6 @@ import math
 from typing import Iterable
 
 
-def phase_fraction(freq: int, alpha: float) -> float:
-    """Fractional part of freq * alpha in [0, 1), computed exactly."""
-    num, den = float(alpha).as_integer_ratio()  # den is a power of two
-    return ((freq * num) % den) / den
-
-
 def unit_sum(freqs: Iterable[int], alpha: float) -> complex:
     """Sum of e(f * alpha) over integer frequencies, compensated."""
     num, den = float(alpha).as_integer_ratio()

@@ -301,13 +301,24 @@ def write_set(path, smooth: SmoothSet) -> None:
 
 def read_set(path) -> SmoothSet:
     """Inverse of write_set; exact round-trip of header fields and elements."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# waring-set "):
-            raise DomainError(f"not a set file: header {header!r}")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].strip() if lines else ""
+    if not header.startswith("# waring-set "):
+        raise DomainError(f"{path}:1: not a set file: header {header!r}")
+    lineno = 1
+    try:
         fields = dict(part.split("=", 1) for part in header[13:].split())
-        elements = tuple(int(line) for line in fh if line.strip())
-    spec = SmoothSpec(k=int(fields["k"]), mode=fields["mode"],
-                      P_top=float(fields["P"]))
-    return SmoothSet(spec=spec, level=0, elements=elements, windows=(),
+        spec = SmoothSpec(k=int(fields["k"]), mode=fields["mode"],
+                          P_top=float(fields["P"]))
+        elements = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                elements.append(int(line))
+    except (KeyError, ValueError) as exc:
+        raise DomainError(
+            f"{path}:{lineno}: bad line {lines[lineno - 1]!r}; a set file is "
+            "'# waring-set k=<int> mode=<name> P=<float>' then one integer "
+            "per line") from exc
+    return SmoothSet(spec=spec, level=0, elements=tuple(elements), windows=(),
                      collision_count=0)

@@ -8,6 +8,8 @@ the early steps).  The red result is intentional; see the analysis in the
 project's decisions ledger.
 """
 
+import dataclasses
+
 import pytest
 
 from waring import acceptance
@@ -100,6 +102,35 @@ def test_criterion_13_exponent_fit():
 def test_criterion_14_reproducibility():
     res = _run(acceptance.criterion_14)
     assert res.passed, res.detail
+
+
+# the two cheapest criteria stand in for 1..13 where only the runs matter
+_CHEAP = [acceptance.criterion_3, acceptance.criterion_5]
+
+
+def test_run_all_runs_criteria_twice(monkeypatch):
+    calls = []
+    real = acceptance.run_criteria
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", _CHEAP)
+    monkeypatch.setattr(acceptance, "run_criteria", counted)
+    results = acceptance.run_all(seed=0, quick=True)
+    assert len(calls) == 2
+    assert [r.cid for r in results] == [3, 5, 14]
+    assert results[-1].passed
+
+
+def test_criterion_14_detects_an_altered_first_run(monkeypatch):
+    monkeypatch.setattr(acceptance, "_CRITERIA", _CHEAP)
+    first = acceptance.run_criteria(seed=0, quick=True)
+    first[1] = dataclasses.replace(first[1], detail=first[1].detail + " ")
+    res = acceptance.criterion_14(seed=0, quick=True, first=first)
+    assert not res.passed
+    assert "identical=False" in res.detail
 
 
 def test_quick_mode_runs_everything_fast():

@@ -161,6 +161,17 @@ class TestDeltaIterate:
         for s in range(3, 41):
             assert table.variant.delta_at(s) >= table.delta_at(s)
 
+    def test_variant_built_on_first_read(self):
+        table = be.delta_iterate(7, 30)
+        assert "variant" not in vars(table)
+        full = be._delta_steps(7, 30, full=True)
+        assert table.variant == full
+        assert table.variant is table.variant
+        assert table.variant.variant is None
+
+    def test_fixed_theta_has_no_variant(self):
+        assert be.lambda_iterate(5, 20, 0.2).variant is None
+
     def test_lambda_column(self):
         table = be.delta_iterate(4, 10)
         for s in range(2, 11):

@@ -114,6 +114,14 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert "missing.txt" in record["message"]
 
+    def test_empty_set_file_without_p_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.set"
+        path.write_text("# waring-set k=3 mode=single P=10\n")
+        code, _, err = run_cli(["count", "--k", "3", "--set", str(path)],
+                               capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_non_integer_config_value_is_config_error(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("k = abc\n")
@@ -122,6 +130,30 @@ class TestConfigHandling:
         record = json.loads(err)
         assert record["error"] == "ConfigError"
         assert "abc" in record["message"]
+
+    @pytest.mark.parametrize("flag,value", [("--k", "abc"),
+                                            ("--format", "xml"),
+                                            ("--theorem", "3")])
+    def test_bad_flag_value_is_config_error(self, capsys, flag, value):
+        args = ["bounds", "--k", "5"] if flag != "--k" else ["bounds"]
+        code, _, err = run_cli(args + [flag, value], capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert value in record["message"]
+
+    @pytest.mark.parametrize("body", [b"# waring-set k=3 mode=single P=10\n1\nx2\n",
+                                      b"# waring-set k=3 P=10\n1\n2\n",
+                                      b"\xff\xfe\x00binary"])
+    def test_malformed_set_file_is_domain_error(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.set"
+        path.write_bytes(body)
+        code, _, err = run_cli(["count", "--k", "3", "--set", str(path)],
+                               capsys)
+        assert code == 1
+        record = json.loads(err)
+        assert record["error"] == "DomainError"
+        assert "bad.set" in record["message"]
 
 
 class TestBudgetExit:

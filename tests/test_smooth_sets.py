@@ -274,3 +274,18 @@ class TestSetFiles:
         path.write_text("17\n23\n")
         with pytest.raises(DomainError):
             sm.read_set(path)
+
+    def test_non_integer_element_names_file_and_line(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("# waring-set k=3 mode=single P=10\n1\n\nx2\n")
+        with pytest.raises(DomainError, match=r"set\.txt:4: .*'x2'"):
+            sm.read_set(path)
+
+    @pytest.mark.parametrize("header", ["k=3 P=10", "mode=single P=10",
+                                        "k=3 mode=single", "k=3 mode P=10",
+                                        "k=three mode=single P=10"])
+    def test_incomplete_header_names_file_and_line(self, tmp_path, header):
+        path = tmp_path / "set.txt"
+        path.write_text(f"# waring-set {header}\n1\n")
+        with pytest.raises(DomainError, match=r"set\.txt:1: "):
+            sm.read_set(path)
