@@ -126,8 +126,16 @@ def _coerce(key: str, val: str):
     return val
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line (unknown flag, missing subcommand) as a
+    ConfigError instead of printing usage and exiting; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="waring", description=__doc__)
+    top = _Parser(prog="waring", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -493,10 +501,8 @@ def _error_record(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge(args)
+        cfg = _merge(_build_parser().parse_args(argv))
         return _HANDLERS[cfg.command](cfg)
     except ConfigError as exc:
         print(_error_record(exc), file=sys.stderr)

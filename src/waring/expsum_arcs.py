@@ -366,6 +366,11 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     so counting moments land on integers to rounding.  Absolute-value
     moments must be expressed through conjugate pairs (|F|^(2s)); odd
     absolute powers are not polynomials and are rejected.
+
+    Each distinct factor spec is transformed once per call: its frequency
+    counts (np.bincount on the grid) go through one inverse FFT, shared by
+    F and conj(F).  The grid sum is math.fsum, which is order-independent,
+    so the result depends only on the grid length and the factor products.
     """
     if m.region != "full":
         raise DomainError("exact_moment requires region='full'")
@@ -376,12 +381,14 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     if M > budget_grid:
         raise BudgetError(f"grid of {M} points exceeds budget {budget_grid}",
                           predicted=M, budget=budget_grid)
+    transforms: dict = {}
     prod = np.ones(M, dtype=complex)
     for f in m.factors:
-        counts = np.zeros(M, dtype=float)
-        for fr in frequencies(f.spec):
-            counts[fr % M] += 1.0
-        vals = np.fft.ifft(counts) * M
+        vals = transforms.get(f.spec)
+        if vals is None:
+            freqs = np.array(frequencies(f.spec), dtype=np.int64) % M
+            counts = np.bincount(freqs, minlength=M)
+            vals = transforms[f.spec] = np.fft.ifft(counts) * M
         if f.conjugated:
             vals = np.conj(vals)
         prod *= vals**f.exponent
@@ -389,8 +396,8 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         js = np.arange(M, dtype=np.int64)
         ph = (m.target % M) * js % M
         prod *= np.exp(-2j * np.pi * ph / M)
-    real = math.fsum(prod.real) / M
-    imag = math.fsum(prod.imag) / M
+    real = math.fsum(prod.real.tolist()) / M
+    imag = math.fsum(prod.imag.tolist()) / M
     if abs(imag) > 1e-6 * max(1.0, abs(real)):
         raise DomainError(f"moment is not real (imag mean {imag:.3e}); "
                           "check the factor specification")
@@ -408,10 +415,14 @@ class ArcMomentResult:
 
 
 def _sampled_product(m: MomentSpec, pts: np.ndarray) -> np.ndarray:
+    sums: dict = {}
     prod = np.ones(len(pts), dtype=complex)
     for f in m.factors:
-        freqs = np.array(frequencies(f.spec), dtype=float)
-        vals = np.exp(2j * np.pi * np.outer(pts, freqs)).sum(axis=1)
+        vals = sums.get(f.spec)
+        if vals is None:
+            freqs = np.array(frequencies(f.spec), dtype=float)
+            vals = np.exp(2j * np.pi * np.outer(pts, freqs)).sum(axis=1)
+            sums[f.spec] = vals
         if f.conjugated:
             vals = np.conj(vals)
         prod *= vals**f.exponent

@@ -142,6 +142,23 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert value in record["message"]
 
+    @pytest.mark.parametrize("args,text", [(["bounds", "--k", "5", "--bogus", "1"],
+                                            "--bogus"),
+                                           ([], "command")])
+    def test_bad_command_line_is_config_error(self, capsys, args, text):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert text in record["message"]
+
+    def test_help_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert "--k-range" in capsys.readouterr().out
+
     @pytest.mark.parametrize("body", [b"# waring-set k=3 mode=single P=10\n1\nx2\n",
                                       b"# waring-set k=3 P=10\n1\n2\n",
                                       b"\xff\xfe\x00binary"])

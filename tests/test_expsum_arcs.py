@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
@@ -225,6 +228,25 @@ class TestExactMoment:
             S = ac.s_count(range(1, P + 1), s, k).S
             mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=P, k=k), 2 * s))
             assert abs(mom - S) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=st.integers(1, 12), k=st.integers(1, 4), s=st.integers(1, 3))
+    def test_parseval_property(self, P, k, s):
+        mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=P, k=k), 2 * s))
+        assert round(mom) == ac.s_count(range(1, P + 1), s, k).S
+
+    def test_one_inverse_fft_per_distinct_factor(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda a: calls.append(1) or ifft(a))
+        mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=10, k=3), 4))
+        assert round(mom) == 190 and len(calls) == 1
+        # x^2 = y^3 over [1, 8]^2: (1, 1) and (8, 4)
+        m = ea.MomentSpec(
+            factors=(ea.MomentFactor(ea.FullInterval(P=8, k=2), 1),
+                     ea.MomentFactor(ea.FullInterval(P=8, k=3), 1, True)),
+            absolute=False)
+        assert round(ea.exact_moment(m)) == 2 and len(calls) == 3
 
     def test_smooth_set_moment(self):
         elements = (2, 3, 5, 7)
