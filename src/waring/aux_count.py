@@ -5,15 +5,16 @@ per-domain k-th power tables with a balanced (meet-in-the-middle) split; the
 predicted cost of a build is the product of the domain sizes and is checked
 against a budget first.
 
-Two routes compute the same table, and the input alone picks one before any
-work is done.  When sum_i max|x|^k over the domains (which bounds every
-partial sum) and the product of the domain sizes (which bounds every count)
-are both below 2^63, an int64 kernel merges (values, counts) arrays: the
-outer sums and outer count products of a block of rows are sorted and each
-run of equal sums is added up.  Otherwise the tables are Counters of Python
-ints.  The kernel works through the outer product in row blocks of about
-_BLOCK_PAIRS entries (at least one row, and no row is longer than the
-number of distinct sums) and merges the reduced blocks as it goes, so
+One kernel serves every width of sum.  A table holds its distinct sums as an
+(L, n) int64 array of keys, least significant limb first: every limb but the
+top one is an unsigned 62-bit digit and the top limb is signed.  L is the
+fewest limbs whose top limb holds sum_i max|x|^k over the domains, which
+bounds every partial sum, so L = 1 (a plain int64 key) when the sums fit
+int64.  Outer sums add limb by limb, then carry once (digit sums stay below
+2^63).  Counts are int64 while the product of the domain sizes, which bounds
+every count and count product, is below 2^63, and Python ints above it.
+The kernel sorts the outer sums of a block of about _BLOCK_PAIRS entries,
+adds up each run of equal keys and merges the reduced blocks as it goes, so
 memory stays within twice the number of distinct sums plus one block.
 
 brute_force_s_count and brute_force_t_pq enumerate tuples directly; they are
@@ -34,7 +35,9 @@ from . import smooth_sets
 from .errors import BudgetError, CoprimalityError, DomainError
 
 DEFAULT_BUDGET = 10**9
-_INT64 = 2**63             # every value the int64 kernel forms lies below this
+_INT64 = 2**63             # every int64 count the kernel forms lies below this
+_LIMB = 62                 # bits in each limb below the top one
+_DIGIT = (1 << _LIMB) - 1
 _BLOCK_PAIRS = 1 << 18     # outer-product entries the kernel reduces at once
 
 
@@ -42,17 +45,24 @@ _BLOCK_PAIRS = 1 << 18     # outer-product entries the kernel reduces at once
 class RepFunction:
     """gamma(m): multiplicity of each attainable sum of k-th powers.
 
-    values and counts hold the table as parallel arrays: int64 and ascending
-    when the int64 kernel built it, Python ints (dtype object) in no
-    particular order otherwise.  table is the same map as a dict.
+    keys holds the distinct sums ascending as L limbs (see the module
+    docstring), counts their gamma.  values (int64 when L = 1, else Python
+    ints) and table (a dict) give the same map; both are built on first use.
     """
 
     k: int
     s: int
     domains: tuple[tuple[int, ...], ...]
-    values: np.ndarray
+    keys: np.ndarray
     counts: np.ndarray
     total: int
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = self.keys[-1]
+        for limb in self.keys[-2::-1]:
+            values = (values.astype(object) << _LIMB) + limb.astype(object)
+        return values
 
     @cached_property
     def table(self) -> dict:
@@ -113,62 +123,82 @@ def _check_budget(cost: int, budget: int, what: str) -> None:
                           predicted=cost, budget=budget)
 
 
-def _convolve(a: Counter, b: Counter) -> Counter:
-    out: Counter = Counter()
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            out[va + vb] += ca * cb
-    return out
+def _limbs(top: int) -> int:
+    """Fewest limbs whose signed top limb holds every value of size at most top."""
+    return 1 + max(top.bit_length() - 2, 0) // _LIMB
 
 
-def _runs(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values ascending, each with the sum of its counts."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return values[starts], np.add.reduceat(counts[order], starts)
+def _split(values, L: int) -> np.ndarray:
+    return np.array([[v >> _LIMB * j if j == L - 1 else (v >> _LIMB * j) & _DIGIT
+                      for v in values] for j in range(L)], dtype=np.int64)
 
 
-def _merge_top(stack: list) -> None:
-    """Replace the top two tables of the stack by their union, counts added."""
-    (v2, c2), (v1, c1) = stack.pop(), stack.pop()
-    at = np.searchsorted(v1, v2)
-    found = at < len(v1)
-    found[found] = v1[at[found]] == v2[found]
-    c1 = c1.copy()
-    c1[at[found]] += c2[found]        # v2 is distinct, so no index repeats
-    new = ~found
-    stack.append((np.insert(v1, at[new], v2[new]), np.insert(c1, at[new], c2[new])))
+def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys ascending, each with the sum of its counts (rows of counts).
 
-
-def _convolve_int64(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """int64 convolution of two (values, counts) tables; result ascending.
-
-    The caller guarantees that every sum and every count product fits.
-    Reduced row blocks stay on a stack whose tables at least halve in length
-    towards the top, so at most twice the distinct sums are held at once.
+    Empties the input list of (keys, counts) tables and gathers one array at
+    a time, so the peak stays near twice the input.  An LSD sort: the first
+    pass needs no stability, as equal keys are summed in any order; later
+    passes keep it.  With one limb, ascending tables are runs that a stable
+    first pass merges in linear time.
     """
-    (av, ac), (bv, bc) = a, b
-    rows = max(1, _BLOCK_PAIRS // len(bv))
+    keys = np.concatenate([k for k, _ in tables], axis=1)
+    counts = np.concatenate([c for _, c in tables])
+    kind = "stable" if len(tables) > 1 and len(keys) == 1 else None
+    tables.clear()
+    order = np.argsort(keys[0], kind=kind)
+    for limb in keys[1:]:
+        order = order[np.argsort(limb[order], kind="stable")]
+    keys = keys[:, order]
+    counts = counts[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
+    counts = np.add.reduceat(counts, starts)
+    return keys[:, starts], counts
+
+
+def _add(ak: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Every key of ak plus every key of bk, row-major; _runs gets the only copy."""
+    sums = (ak[:, :, None] + bk[:, None, :]).reshape(len(ak), -1)
+    for j in range(len(sums) - 1):
+        sums[j + 1] += sums[j] >> _LIMB
+        sums[j] &= _DIGIT
+    return sums
+
+
+def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution of two (keys, counts) tables, in row blocks.
+
+    Reduced blocks stay on a stack whose tables at least halve in length
+    towards the top, so at most twice the distinct sums are held at once;
+    after the last block the whole stack is merged.
+    """
+    (ak, ac), (bk, bc) = a, b
+    rows = max(1, _BLOCK_PAIRS // len(bc))
     stack: list = []
-    for i in range(0, len(av), rows):
-        stack.append(_runs(np.add.outer(av[i:i + rows], bv).ravel(),
-                           np.multiply.outer(ac[i:i + rows], bc).ravel()))
-        while len(stack) > 1 and 2 * len(stack[-1][0]) >= len(stack[-2][0]):
-            _merge_top(stack)
-    while len(stack) > 1:
-        _merge_top(stack)
+    for i in range(0, len(ac), rows):
+        stack.append(_runs([(_add(ak[:, i:i + rows], bk),
+                             np.multiply.outer(ac[i:i + rows], bc).ravel())]))
+        last = i + rows >= len(ac)
+        while len(stack) > 1 and (last or 2 * len(stack[-1][1]) >= len(stack[-2][1])):
+            stack.append(_runs([stack.pop(), stack.pop()]))
     return stack[0]
+
+
+def _table(powers: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of the sums with one term from each list, in L limbs."""
+    if len(powers) == 1:
+        return _runs([(_split(powers[0], L), np.ones(len(powers[0]), dtype=dtype))])
+    mid = (len(powers) + 1) // 2  # left block takes ceil(s/2) lists
+    return _convolve(_table(powers[:mid], L, dtype), _table(powers[mid:], L, dtype))
 
 
 def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFunction:
     """Exact gamma table for sums x_1^k + ... + x_s^k over the given domains.
 
-    The int64 kernel runs when sum_i max_{x in X_i} |x|^k < 2^63 and
-    prod_i |X_i| < 2^63: the first bounds the absolute value of every
-    partial sum, the second every count and count product.  Otherwise the
-    Counter convolution over Python ints runs.  The kernel's memory is
-    O(distinct sums + _BLOCK_PAIRS), whatever |X_1| * ... * |X_s| is.
+    L comes from sum_i max_{x in X_i} |x|^k (plain int64 keys when every sum
+    fits); memory is O(L * distinct sums + _BLOCK_PAIRS) whatever the product.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -178,27 +208,10 @@ def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFuncti
     powers = [[x**k for x in X] for X in doms]
     # |x| and so |x^k| is largest at an end of the sorted domain
     top = sum(max(abs(ps[0]), abs(ps[-1])) for ps in powers)
-    if top < _INT64 and total < _INT64:
-        combine = _convolve_int64
-        tables = [_runs(np.array(ps, dtype=np.int64), np.ones(len(ps), dtype=np.int64))
-                  for ps in powers]
-    else:
-        combine = _convolve
-        tables = [Counter(ps) for ps in powers]
-
-    def build(lo: int, hi: int):
-        if hi - lo == 1:
-            return tables[lo]
-        mid = (lo + hi + 1) // 2  # left block takes ceil(s/2) domains
-        return combine(build(lo, mid), build(mid, hi))
-
-    table = build(0, len(doms))
-    if combine is _convolve:
-        table = (np.fromiter(table, dtype=object, count=len(table)),
-                 np.fromiter(table.values(), dtype=object, count=len(table)))
-    values, counts = table
+    keys, counts = _table(powers, _limbs(top),
+                          np.int64 if total < _INT64 else object)
     assert int(counts.sum()) == total
-    return RepFunction(k=k, s=len(doms), domains=doms, values=values,
+    return RepFunction(k=k, s=len(doms), domains=doms, keys=keys,
                        counts=counts, total=total)
 
 
@@ -225,7 +238,7 @@ def distinct_sums_bound(domains, k: int,
     """Distinct attainable sums vs. the Cauchy-Schwarz floor total^2 / sum(gamma^2)."""
     rep = rep_function(domains, k, budget_ops=budget_ops)
     ssq = _sum_of_squares(rep)
-    distinct = len(rep.values)
+    distinct = len(rep.counts)
     # exact integer comparison before any float is formed
     assert distinct * ssq >= rep.total**2
     return DistinctSums(distinct=distinct, lower_bound=rep.total**2 / ssq,
@@ -238,10 +251,10 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
 
     The two sides are tabulated separately (differences of (s-1)-fold sums
     against single-power differences) and matched, so the cost is
-    |E|^(2s-2) + |E|^2 rather than |E|^(2s).  The tables are int64 arrays
-    matched by binary search when max(p, q)^k * 2(s-1) * max|x|^k and
-    |E|^(2s) are below 2^63 (they bound every value and every product of
-    counts), and Counters of Python ints otherwise.
+    |E|^(2s-2) + |E|^2 rather than |E|^(2s).  Both tables use the L that
+    holds the larger side's bound, and one union of them, with the left and
+    right counts in two columns, puts each common value in one row.  Counts
+    are int64 when |E|^(2s), which bounds every count product, is below 2^63.
     """
     E = tuple(sorted(set(int(x) for x in E)))
     if not E:
@@ -258,25 +271,16 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
             raise CoprimalityError(f"element {x} is not coprime to p={p}")
     _check_budget(len(E) ** (2 * s), budget_ops, "t_pq_count")
 
-    rep = rep_function([E] * (s - 1), k, budget_ops=budget_ops)
     pk, qk = p**k, q**k
-    top = max(abs(E[0]), abs(E[-1])) ** k
-    if max(pk, qk) * 2 * (s - 1) * top < _INT64 and len(E) ** (2 * s) < _INT64:
-        lv, lc = _convolve_int64((rep.values, rep.counts),
-                                 (-rep.values, rep.counts))
-        powers = np.array([x**k for x in E], dtype=np.int64)
-        ones = np.ones(len(E), dtype=np.int64)
-        rv, rc = _convolve_int64((powers, ones), (-powers, ones))
-        lv, rv = pk * lv, qk * rv
-        at = np.minimum(np.searchsorted(rv, lv), len(rv) - 1)
-        hit = rv[at] == lv
-        count = int(np.dot(lc[hit], rc[at[hit]]))
-    else:
-        scaled = Counter({pk * a: c for a, c in rep.table.items()})
-        left = _convolve(scaled, Counter({-v: c for v, c in scaled.items()}))
-        right = _convolve(Counter(qk * x**k for x in E),
-                          Counter(-qk * x**k for x in E))
-        count = sum(c * right[v] for v, c in left.items() if v in right)
+    powers = [x**k for x in E]
+    L = _limbs(max(2 * (s - 1) * pk, 2 * qk) * max(abs(powers[0]), abs(powers[-1])))
+    dtype = np.int64 if len(E) ** (2 * s) < _INT64 else object
+    lk, lc = _table([[pk * v for v in powers]] * (s - 1)
+                    + [[-pk * v for v in powers]] * (s - 1), L, dtype)
+    rk, rc = _table([[qk * v for v in powers], [-qk * v for v in powers]], L, dtype)
+    _, both = _runs([(lk, np.column_stack((lc, 0 * lc))),
+                     (rk, np.column_stack((0 * rc, rc)))])
+    count = int(np.dot(both[:, 0], both[:, 1]))
     return CountResult(S=count, s=s, k=k, set_size=len(E),
                        diagonal_lb=len(E) ** s, P_param=float(max(E)))
 

@@ -250,18 +250,14 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     return _delta_steps(k, s_max, full=False)
 
 
-def _ceil_int(x: float) -> int:
-    return int(math.ceil(x))
-
-
 def _t1_value(k: int, v: int, sig: SigmaData) -> tuple[int, float, int]:
     arg = (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v
-    ceil_term = _ceil_int(arg)
+    ceil_term = math.ceil(arg)
     return 7 + 2 * v + 2 * ceil_term, arg, ceil_term
 
 
 def _t2_value(k: int, u: int, delta_u: float, sig: SigmaData) -> tuple[int, int]:
-    ceil_term = _ceil_int(delta_u / (2 * sig.sigma_hat))
+    ceil_term = math.ceil(delta_u / (2 * sig.sigma_hat))
     return 3 + 2 * u + 2 * ceil_term, ceil_term
 
 
@@ -282,7 +278,7 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
 
     if thm == "T1":
         vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
-        v_hi = max(8, _ceil_int(scan_factor * max(vstar, 1.0)))
+        v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
         best_bound = None
         values = []
         for v in range(0, v_hi + 1):
@@ -303,9 +299,9 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
         )
 
     u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
-    u = 1 + _ceil_int((k + 1) / 2 * math.log(1 / sig.sigma_hat))
-    scan_lo, scan_hi = max(2, u - _ceil_int(scan_factor / 4.0 * 3 * k)), \
-        u + _ceil_int(scan_factor / 4.0 * 3 * k)
+    u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
+    scan_lo, scan_hi = max(2, u - math.ceil(scan_factor / 4.0 * 3 * k)), \
+        u + math.ceil(scan_factor / 4.0 * 3 * k)
     table = delta_iterate(k, scan_hi)
     delta_u_closed = delta_bound(k, u)
     delta_u_exact = table.delta_at(u)

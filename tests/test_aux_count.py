@@ -151,7 +151,10 @@ class TestTpqCount:
 
 
 class TestInt64Kernel:
-    """The int64 kernel and the bound that selects it, against the oracles."""
+    """The limb kernel and the limb width the input selects, against the oracles.
+
+    One limb is a plain int64 key; the wide cases take two or three.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(X=st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
@@ -170,30 +173,60 @@ class TestInt64Kernel:
         k = data.draw(st.integers(1, 4))
         assert ac.t_pq_count(E, s, k, p, q).S == ac.brute_force_t_pq(E, s, k, p, q)
 
+    # |x| <= 2^40, k <= 4 and s <= 3 put sums up to 3 * 2^160: one to three limbs
+    wide = st.one_of(st.integers(-40, 40), st.integers(-(2**40), 2**40))
+
+    @settings(max_examples=80, deadline=None)
+    @given(X=st.lists(wide, min_size=1, max_size=6, unique=True),
+           s=st.integers(1, 3), k=st.integers(1, 4))
+    def test_wide_s_count_matches_brute_force(self, X, s, k):
+        assert ac.s_count(X, s, k).S == ac.brute_force_s_count(X, s, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_wide_t_pq_matches_brute_force(self, data):
+        p, q = data.draw(st.sampled_from([(2, 3), (3, 2), (5, 3)]))
+        s = data.draw(st.integers(2, 3))
+        E = data.draw(st.lists(self.wide.filter(lambda x: x % p), min_size=1,
+                               max_size=5 if s == 2 else 3, unique=True))
+        k = data.draw(st.integers(1, 4))
+        assert ac.t_pq_count(E, s, k, p, q).S == ac.brute_force_t_pq(E, s, k, p, q)
+
+    @pytest.mark.parametrize("c", [0, 1, 12345, 2**61 - 1])
+    def test_equal_low_limbs_never_merge(self, c):
+        # c + c, c + (2^62 + c) and 2(2^62 + c) share their low limb, 2c
+        X = [c, 2**62 + c]
+        rep = ac.rep_function([X] * 2, 1)
+        assert len(rep.keys) == 2
+        assert rep.table == {2 * c: 1, 2**62 + 2 * c: 2, 2**63 + 2 * c: 1}
+        assert ac.s_count(X, 2, 1).S == ac.brute_force_s_count(X, 2, 1) == 6
+
     @pytest.mark.parametrize("X,dtype", [
-        # k=1, s=2: 2 * max|x| is 2^63 - 2, just inside the int64 bound
+        # k=1, s=2: 2 * max|x| is 2^63 - 2, just inside one limb
         ([2**62 - 3, 2**62 - 2, 2**62 - 1], np.int64),
         ([-(2**62) + 1, -5, 7, 2**62 - 1], np.int64),
-        # 2 * max|x| reaches 2^63: the Python-int route
+        # 2 * max|x| reaches 2^63: two limbs, values as Python ints
         ([2**62 - 2, 2**62 - 1, 2**62], object),
         ([-(2**62), -5, 7, 2**62 - 1], object),
     ])
     def test_s_count_at_the_int64_edge(self, X, dtype):
-        assert ac.rep_function([X] * 2, 1).values.dtype == dtype
+        rep = ac.rep_function([X] * 2, 1)
+        assert len(rep.keys) == (1 if dtype is np.int64 else 2)
+        assert rep.values.dtype == dtype
         assert ac.s_count(X, 2, 1).S == ac.brute_force_s_count(X, 2, 1)
 
-    @pytest.mark.parametrize("T,on_kernel", [
+    @pytest.mark.parametrize("T,one_limb", [
         (1537228672809129301, True),    # 6T < 2^63: q(y - x) reaches 6T
-        (1537228672809129303, False),   # 6T > 2^63: Python ints
+        (1537228672809129303, False),   # 6T > 2^63: two limbs
     ])
-    def test_t_pq_at_the_int64_edge(self, monkeypatch, T, on_kernel):
-        calls = []
-        kernel = ac._convolve_int64
-        monkeypatch.setattr(ac, "_convolve_int64",
-                            lambda a, b: calls.append(1) or kernel(a, b))
+    def test_t_pq_at_the_int64_edge(self, monkeypatch, T, one_limb):
+        widths = set()
+        runs = ac._runs
+        monkeypatch.setattr(ac, "_runs", lambda tables: widths.update(
+            len(keys) for keys, _ in tables) or runs(tables))
         E = [-T, 1, T]
         assert ac.t_pq_count(E, 2, 1, 2, 3).S == ac.brute_force_t_pq(E, 2, 1, 2, 3)
-        assert bool(calls) == on_kernel
+        assert widths == {1 if one_limb else 2}
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
     def test_many_row_blocks(self, monkeypatch, block):
@@ -206,9 +239,24 @@ class TestInt64Kernel:
         assert ac.s_count(X, 3, 3).S == sum(c * c for c in want.values())
         assert ac.t_pq_count(X[::2], 2, 3, 2, 3).S == ac.brute_force_t_pq(X[::2], 2, 3, 2, 3)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_many_row_blocks_over_limbs(self, monkeypatch, block):
+        # sums reach 3 * 2^123: two limbs, with both signs
+        X = [2**41 - 2 - 3**i for i in range(10)] + [-(2**41) + 5, -7, 1]
+        want = Counter(map(sum, product([x**3 for x in X], repeat=3)))
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", block)
+        rep = ac.rep_function([X] * 3, 3)
+        assert len(rep.keys) == 2
+        assert rep.table == want
+        assert list(rep.values) == sorted(rep.values)
+        assert ac.s_count(X, 3, 3).S == sum(c * c for c in want.values())
+        E = X[::3]
+        assert ac.t_pq_count(E, 2, 3, 2, 3).S == ac.brute_force_t_pq(E, 2, 3, 2, 3)
+
     def test_table_holds_python_ints(self):
-        table = ac.rep_function([[1, 2, 3]] * 2, 3).table
-        assert all(type(v) is int and type(c) is int for v, c in table.items())
+        for X, k in (([1, 2, 3], 3), ([1, 2**62, -(2**62)], 1)):
+            table = ac.rep_function([X] * 2, k).table
+            assert all(type(v) is int and type(c) is int for v, c in table.items())
 
 
 class TestLemma1:
