@@ -253,6 +253,15 @@ class TestInt64Kernel:
         E = X[::3]
         assert ac.t_pq_count(E, 2, 3, 2, 3).S == ac.brute_force_t_pq(E, 2, 3, 2, 3)
 
+    def test_counts_past_int64_are_python_ints(self, monkeypatch):
+        # a lowered limit stands in for a tuple product past 2^63
+        monkeypatch.setattr(ac, "_INT64", 8)
+        X = [-3, 1, 2, 5]
+        assert ac.rep_function([X] * 3, 2).counts.dtype == object
+        assert ac.s_count(X, 3, 2).S == ac.brute_force_s_count(X, 3, 2)
+        E = [-3, 1, 5]
+        assert ac.t_pq_count(E, 2, 3, 2, 3).S == ac.brute_force_t_pq(E, 2, 3, 2, 3)
+
     def test_table_holds_python_ints(self):
         for X, k in (([1, 2, 3], 3), ([1, 2**62, -(2**62)], 1)):
             table = ac.rep_function([X] * 2, k).table
