@@ -149,8 +149,8 @@ def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(keys[0], kind=kind)
     for limb in keys[1:]:
         order = order[np.argsort(limb[order], kind="stable")]
-    keys = keys[:, order]
     counts = counts[order]
+    keys = keys[:, order]
     del order
     starts = np.flatnonzero(np.concatenate(
         ([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
