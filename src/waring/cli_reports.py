@@ -31,54 +31,81 @@ class ConfigError(WaringError):
     pass
 
 
+# Option parsers: each turns the text of a flag or config entry into the
+# option's value, or raises ValueError saying what the text should be.
+
+def _checked(cast, ok, why: str):
+    def parse(text: str):
+        val = cast(text)
+        if not ok(val):
+            raise ValueError(why)
+        return val
+    return parse
+
+
+def _positive(cast):
+    # the comparison is false for nan too
+    return _checked(cast, lambda v: 0 < v < math.inf, "must be finite and > 0")
+
+
+def _one_of(*allowed: str):
+    return _checked(str, allowed.__contains__, "expected " + " or ".join(allowed))
+
+
+def _list(cast, sep: str = ","):
+    return lambda text: tuple(cast(v) for v in text.split(sep))
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_bool = _checked(lambda text: _BOOLS.get(text.lower()), lambda v: v is not None,
+                 "expected one of " + ", ".join(_BOOLS))
+
+
+def _option(parse, default=None, help=None, only=None):
+    """A RunConfig field that is also an option.  `parse` checks and converts
+    its text, from a flag or a config file; `only` names the subcommands that
+    offer it as a flag (all of them when None); `help` is the flag's help."""
+    return field(default=default,
+                 metadata={"parse": parse, "help": help, "only": only})
+
+
 @dataclass
 class RunConfig:
+    """Settings of one run.  Every field after `command` is an option: its
+    name is the config key, and the flag is the name with '-' for '_'."""
     command: str
-    k: int | None = None
-    k_range: tuple[int, int] | None = None
-    theorem: str | None = None
-    P: list[float] = field(default_factory=list)
-    theta: float | None = None
-    s: int | None = None
-    budget_ops: int = aux_count.DEFAULT_BUDGET
-    budget_grid: int = expsum_arcs.DEFAULT_GRID_BUDGET
-    seed: int = 0
-    format: str = "csv"
-    out: str | None = None
-    paper_faithful: bool = False
-    levels: int = 0
-    delta: float | None = None
-    q: list[int] = field(default_factory=list)
-    W: float | None = None
-    points: int = 512
-    quick: bool = False
-    h_max: int = 2
-    x_range: int = 8
-    tpq: tuple[int, int] | None = None
-    set: str | None = None
-
-    def k_values(self) -> list[int]:
-        if self.k_range is not None:
-            a, b = self.k_range
-            return list(range(a, b + 1))
-        if self.k is not None:
-            return [self.k]
-        raise ConfigError("need --k or --k-range")
-
-    def validate(self) -> None:
-        if self.budget_ops <= 0 or self.budget_grid <= 0:
-            raise ConfigError("budgets must be positive")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
-        if self.k_range is not None and self.k_range[0] > self.k_range[1]:
-            raise ConfigError(f"empty k range {self.k_range}")
-        if self.theorem not in (None, "1", "2"):
-            raise ConfigError(f"theorem must be 1 or 2, got {self.theorem!r}")
-        if any(p <= 0 for p in self.P):
-            raise ConfigError("P values must be positive")
+    k: int | None = _option(int)
+    k_range: tuple[int, int] | None = _option(
+        _checked(_list(int, ":"), lambda r: len(r) == 2 and r[0] <= r[1],
+                 "expected a:b with a <= b"), help="inclusive range a:b")
+    theorem: str | None = _option(_one_of("1", "2"), help="1 or 2")
+    P: tuple[float, ...] = _option(_list(_positive(float)), (),
+                                   "comma-separated list")
+    theta: float = _option(float, 0.4)
+    s: int | None = _option(int)
+    budget_ops: int = _option(_positive(int), aux_count.DEFAULT_BUDGET)
+    budget_grid: int = _option(_positive(int), expsum_arcs.DEFAULT_GRID_BUDGET)
+    seed: int = _option(int, 0)
+    format: str = _option(_one_of("csv", "json"), "csv", "csv or json")
+    out: str | None = _option(str)
+    paper_faithful: bool = _option(_bool, False)
+    tpq: tuple[int, int] | None = _option(
+        _checked(_list(int), lambda v: len(v) == 2 and min(v) > 0,
+                 "expected p,q > 0"), help="p,q primes", only=("count",))
+    set: str | None = _option(str, help="set file to count over instead of "
+                              "[1..P]", only=("count",))
+    levels: int = _option(int, 0, only=("smooth", "diff"))
+    delta: float | None = _option(float, only=("smooth", "diff"))
+    q: tuple[int, ...] = _option(_list(int), (), "comma-separated moduli",
+                                 ("smooth",))
+    W: float | None = _option(float, only=("arcs",))
+    points: int = _option(int, 512, only=("arcs",))
+    h_max: int = _option(_positive(int), 2, only=("diff",))
+    quick: bool = _option(_bool, False, only=("verify",))
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -93,37 +120,12 @@ def _parse_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
-
-
-def _coerce(key: str, val: str):
-    """Typed value of a flag or config entry given as text."""
-    try:
-        if key in ("k", "s", "seed", "levels", "points", "h_max", "x_range",
-                   "budget_ops", "budget_grid"):
-            return int(val)
-        if key in ("theta", "delta", "W"):
-            return float(val)
-        if key in ("paper_faithful", "quick"):
-            return val.lower() in ("1", "true", "yes", "on")
-        if key == "P":
-            return [float(v) for v in val.split(",")]
-        if key == "q":
-            return [int(v) for v in val.split(",")]
-        if key == "k_range":
-            a, b = val.split(":")
-            return (int(a), int(b))
-        if key == "tpq":
-            a, b = val.split(",")
-            return (int(a), int(b))
-    except ValueError as exc:
-        raise ConfigError(f"bad value {val!r} for {key}: {exc}") from exc
-    return val
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,67 +139,30 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="waring", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None)
-        p.add_argument("--k", default=None)
-        p.add_argument("--k-range", dest="k_range", default=None,
-                       help="inclusive range a:b")
-        p.add_argument("--theorem", default=None, help="1 or 2")
-        p.add_argument("--P", default=None, help="comma-separated list")
-        p.add_argument("--theta", default=None)
-        p.add_argument("--s", default=None)
-        p.add_argument("--budget-ops", dest="budget_ops", default=None)
-        p.add_argument("--budget-grid", dest="budget_grid", default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--format", default=None, help="csv or json")
-        p.add_argument("--out", default=None)
-        p.add_argument("--paper-faithful", dest="paper_faithful",
-                       action="store_true", default=None)
-
-    for name in ("bounds", "count", "smooth", "arcs", "diff", "verify"):
+    for name in _HANDLERS:
         p = sub.add_parser(name)
-        common(p)
-        if name == "count":
-            p.add_argument("--tpq", default=None, help="p,q primes")
-            p.add_argument("--set", default=None,
-                           help="set file to count over instead of [1..P]")
-        if name == "smooth":
-            p.add_argument("--levels", default=None)
-            p.add_argument("--delta", default=None)
-            p.add_argument("--q", default=None, help="comma-separated moduli")
-        if name == "arcs":
-            p.add_argument("--W", default=None)
-            p.add_argument("--points", default=None)
-        if name == "diff":
-            p.add_argument("--levels", default=None)
-            p.add_argument("--delta", default=None)
-            p.add_argument("--h-max", dest="h_max", default=None)
-            p.add_argument("--x-range", dest="x_range", default=None)
-        if name == "verify":
-            p.add_argument("--quick", action="store_true", default=None)
+        p.add_argument("--config", default=None)
+        for key, meta in _OPTIONS.items():
+            if meta["only"] is None or name in meta["only"]:
+                # a switch stores the text "true", which _bool then parses
+                kind = ({"action": "store_const", "const": "true"}
+                        if meta["parse"] is _bool else {})
+                p.add_argument("--" + key.replace("_", "-"), help=meta["help"],
+                               **kind)
     return top
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
+    """Config-file entries, then flags over them, each parsed from text."""
+    texts = _parse_config_file(args.config) if args.config else {}
+    texts.update((key, text) for key, text in vars(args).items()
+                 if key in _OPTIONS and text is not None)
     cfg = RunConfig(command=args.command)
-    file_vals = _parse_config_file(args.config) if args.config else {}
-    for key, raw in file_vals.items():
-        if key == "command":
-            continue
-        setattr(cfg, key, _coerce(key, raw))
-    for key in vars(args):
-        if key in ("config", "command"):
-            continue
-        val = getattr(args, key)
-        if val is None:
-            continue
-        # store_true flags arrive as booleans, every other value as text
-        setattr(cfg, key, _coerce(key, val) if isinstance(val, str) else val)
-    try:
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, text in texts.items():
+        try:
+            setattr(cfg, key, _OPTIONS[key]["parse"](text))
+        except ValueError as exc:
+            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
     return cfg
 
 
@@ -207,6 +172,14 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
@@ -230,8 +203,7 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(cfg.out, text)
     else:
         sys.stdout.write(text)
 
@@ -241,9 +213,12 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_bounds(cfg: RunConfig) -> int:
+    if cfg.k is None and cfg.k_range is None:
+        raise ConfigError("need --k or --k-range")
+    a, b = cfg.k_range or (cfg.k, cfg.k)
     rows = []
     theorems = [cfg.theorem] if cfg.theorem else ["1", "2"]
-    for k in cfg.k_values():
+    for k in range(a, b + 1):
         sig = bound_engine.solve_sigma(k)
         rows.append({
             "record": "sigma", "k": k, "beta": sig.beta,
@@ -297,7 +272,7 @@ def _cmd_count(cfg: RunConfig) -> int:
     if imported is not None and not cfg.P:
         if not imported.elements:
             raise ConfigError(f"set file {cfg.set} is empty; give --P")
-        cfg.P = [float(max(imported.elements))]
+        cfg.P = (float(max(imported.elements)),)
     if not cfg.P:
         raise ConfigError("count needs --P or --set")
     rows = []
@@ -355,8 +330,7 @@ def _cmd_smooth(cfg: RunConfig) -> int:
                 })
             final = sets[-1]
         else:
-            theta = cfg.theta if cfg.theta is not None else 0.4
-            final = smooth_sets.build_single_levels(k, P, theta, cfg.levels)
+            final = smooth_sets.build_single_levels(k, P, cfg.theta, cfg.levels)
             rows.append({
                 "record": "level", "k": k, "P": P, "level": 0,
                 "size": len(final.elements),
@@ -462,27 +436,23 @@ def _cmd_diff(cfg: RunConfig) -> int:
                          "P": P, "U": terms.U, "V": terms.V,
                          "residual": terms.residual,
                          "provenance": "differences.lemma7_terms"})
-    note = ("x in the nested sums ranges over [1, x_range]; "
-            "the inner bound is a configuration choice")
-    _emit(cfg, {"subcommand": "diff", "note": note}, rows)
+    _emit(cfg, {"subcommand": "diff"}, rows)
     return 0
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    quick = bool(cfg.quick)
-    results = acceptance.run_all(seed=cfg.seed, quick=quick)
+    mode = "quick" if cfg.quick else "full"
+    results = acceptance.run_all(seed=cfg.seed, quick=cfg.quick)
     lines = acceptance.report_lines(results)
     body = "\n".join(lines) + "\n"
     for r, line in zip(results, lines):
         print(f"{line}  [{r.seconds:.2f}s]")
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed"
-          f" ({'quick' if quick else 'full'} mode, seed {cfg.seed})")
+          f" ({mode} mode, seed {cfg.seed})")
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# generated: {_timestamp()}\n")
-            fh.write(f"# mode: {'quick' if quick else 'full'} seed={cfg.seed}\n")
-            fh.write(body)
+        _write(cfg.out, f"# generated: {_timestamp()}\n"
+               f"# mode: {mode} seed={cfg.seed}\n{body}")
     return 4 if n_fail else 0
 
 

@@ -139,11 +139,11 @@ def max_frequency(spec: ExpSumSpec) -> int:
     if isinstance(spec, FullInterval):
         return spec.P**spec.k
     if isinstance(spec, SetPowers):
-        return max(spec.elements) ** spec.k
+        return max(map(abs, spec.elements)) ** spec.k
     if isinstance(spec, SinglePrime):
-        return spec.p**spec.k * max(spec.elements) ** spec.k
+        return (spec.p * max(map(abs, spec.elements))) ** spec.k
     if isinstance(spec, PrimeSmooth):
-        return (max(spec.primes) * max(spec.elements)) ** spec.k
+        return (max(spec.primes) * max(map(abs, spec.elements))) ** spec.k
     if isinstance(spec, DifferenceSum):
         # psi coefficients are positive and increase in every argument
         hs = tuple(spec.H)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,6 +12,25 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--k", "--k-range", "--theorem",
+                "--P", "--theta", "--s", "--budget-ops", "--budget-grid",
+                "--seed", "--format", "--out", "--paper-faithful"}
+EXTRA_FLAGS = {"bounds": set(), "count": {"--tpq", "--set"},
+               "smooth": {"--levels", "--delta", "--q"},
+               "arcs": {"--W", "--points"},
+               "diff": {"--levels", "--delta", "--h-max"},
+               "verify": {"--quick"}}
+
+
+def test_each_subcommand_offers_exactly_its_flags():
+    sub, = [a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    offered = {name: {flag for a in p._actions for flag in a.option_strings}
+               for name, p in sub.choices.items()}
+    assert offered == {name: COMMON_FLAGS | extra
+                       for name, extra in EXTRA_FLAGS.items()}
 
 
 class TestBounds:
@@ -142,9 +162,61 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert value in record["message"]
 
+    @pytest.mark.parametrize("args", [["count", "--k", "3", "--P", "nan"],
+                                      ["smooth", "--k", "3", "--P", "nan"],
+                                      ["count", "--k", "3", "--P", "inf"],
+                                      ["diff", "--k", "3", "--h-max", "0"],
+                                      ["count", "--k", "3", "--P", "10",
+                                       "--tpq", "0,5"]])
+    def test_out_of_range_value_is_config_error(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert args[-1] in record["message"]
+
+    @pytest.mark.parametrize("text,bound", [("yes", 83), ("Off", 77)])
+    def test_boolean_config_entry(self, capsys, tmp_path, text, bound):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"paper_faithful = {text}\n")
+        out = tmp_path / "b.json"
+        code, _, _ = run_cli(["bounds", "--k", "10", "--theorem", "2",
+                              "--format", "json", "--config", str(cfgfile),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        row = [r for r in json.loads(out.read_text())["rows"]
+               if r.get("record") == "gk"][0]
+        assert row["bound"] == bound
+
+    def test_unknown_boolean_word_is_config_error(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("paper_faithful = maybe\n")
+        code, _, err = run_cli(["bounds", "--k", "10", "--config", str(cfgfile)],
+                               capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "maybe" in record["message"]
+
+    @pytest.mark.parametrize("args", [["bounds", "--k", "5"],
+                                      ["verify", "--quick"]])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path,
+                                            monkeypatch, args):
+        # the report is written after the work, so skip verify's criteria
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kw: [])
+        out = tmp_path / "missing" / "report.txt"
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert str(out) in record["message"]
+
     @pytest.mark.parametrize("args,text", [(["bounds", "--k", "5", "--bogus", "1"],
                                             "--bogus"),
-                                           ([], "command")])
+                                           ([], "command"),
+                                           (["diff", "--k", "3", "--x-range", "8"],
+                                            "--x-range")])
     def test_bad_command_line_is_config_error(self, capsys, args, text):
         code, out, err = run_cli(args, capsys)
         assert code == 2

@@ -102,6 +102,14 @@ class TestSpecs:
         freqs = ea.frequencies(spec)
         assert ea.max_frequency(spec) == max(freqs)
 
+    @pytest.mark.parametrize("spec", [
+        ea.SetPowers(elements=(-5, 1), k=2),
+        ea.SetPowers(elements=(-5, -1), k=3),
+        ea.SinglePrime(elements=(-4, 3), p=5, k=3),
+        ea.PrimeSmooth.make(3, 100.0, inner=(-10, -2, 3))])
+    def test_max_frequency_of_mixed_signs(self, spec):
+        assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
+
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
             ea.frequencies(ea.SetPowers(elements=(), k=3))
@@ -234,6 +242,20 @@ class TestExactMoment:
     def test_parseval_property(self, P, k, s):
         mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=P, k=k), 2 * s))
         assert round(mom) == ac.s_count(range(1, P + 1), s, k).S
+
+    @settings(max_examples=40, deadline=None)
+    @given(neg=st.sets(st.integers(-12, -1), min_size=1, max_size=3),
+           rest=st.sets(st.integers(-12, 12), max_size=3),
+           k=st.integers(1, 3), s=st.integers(1, 2))
+    def test_negative_elements_property(self, neg, rest, k, s):
+        elements = tuple(sorted(neg | rest))
+        mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2 * s))
+        assert round(mom) == ac.brute_force_s_count(elements, s, k)
+
+    @pytest.mark.parametrize("elements,k,S", [((-5, 1), 2, 2), ((-5, -1), 3, 2)])
+    def test_negative_elements_pinned(self, elements, k, S):
+        mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2))
+        assert round(mom) == S == ac.brute_force_s_count(elements, 1, k)
 
     def test_one_inverse_fft_per_distinct_factor(self, monkeypatch):
         calls = []
