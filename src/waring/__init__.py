@@ -4,10 +4,10 @@ from .aux_count import (CountResult, DistinctSums, ExponentFit, Lemma1Report,
                         RepFunction, brute_force_s_count, brute_force_t_pq,
                         distinct_sums_bound, exponent_fit, lemma1_check,
                         lemma1_sides, rep_function, s_count, t_pq_count)
-from .bound_engine import (BoundParams, ExponentTable, GkResult, SigmaData,
-                           ThetaSchedule, delta_bound, delta_iterate,
-                           gk_bound, lambda_closed, lambda_iterate,
-                           sigma_of_s, solve_sigma, theta_schedule)
+from .bound_engine import (ExponentTable, GkResult, SigmaData, ThetaSchedule,
+                           delta_bound, delta_iterate, gk_bound,
+                           lambda_closed, lambda_iterate, sigma_of_s,
+                           solve_sigma, theta_schedule)
 from .differences import (BalanceCounts, BalanceGeometry, DiffChain,
                           IntPolynomial, Lemma7Terms, f_i_sum, forward_diff,
                           lemma7_terms, measured_counts, model_counts,

@@ -76,7 +76,6 @@ class CountResult:
     k: int
     set_size: int
     diagonal_lb: int
-    P_param: float
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def s_count(X, s: int, k: int, budget_ops: int = DEFAULT_BUDGET) -> CountResult:
     rep = rep_function([X] * s, k, budget_ops=budget_ops)
     n = len(rep.domains[0])
     return CountResult(S=_sum_of_squares(rep), s=s, k=k, set_size=n,
-                       diagonal_lb=n**s, P_param=float(max(rep.domains[0])))
+                       diagonal_lb=n**s)
 
 
 def distinct_sums_bound(domains, k: int,
@@ -282,7 +281,7 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
                      (rk, np.column_stack((0 * rc, rc)))])
     count = int(np.dot(both[:, 0], both[:, 1]))
     return CountResult(S=count, s=s, k=k, set_size=len(E),
-                       diagonal_lb=len(E) ** s, P_param=float(max(E)))
+                       diagonal_lb=len(E) ** s)
 
 
 def brute_force_s_count(X, s: int, k: int) -> int:

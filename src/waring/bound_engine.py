@@ -26,23 +26,6 @@ SMALL_K_CUTOFF = 10  # results below this k are computed but flagged
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Validated (k, s, theta) triple."""
-
-    k: int
-    s: int
-    theta: float
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise DomainError(f"k must be >= 3, got {self.k}")
-        if self.s < 2:
-            raise DomainError(f"s must be >= 2, got {self.s}")
-        if not 0.0 < self.theta <= 1.0:
-            raise DomainError(f"theta must lie in (0, 1], got {self.theta}")
-
-
-@dataclass(frozen=True)
 class ExponentTable:
     """lambda_s and Delta(s) = lambda_s - (2s - k) for s = 2..s_max.
 

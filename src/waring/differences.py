@@ -152,6 +152,20 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     return tuple(out)
 
 
+def nested_ranges(H, windows, x_range: int) -> tuple:
+    """(H, windows) as int tuples, checked: one window per step bound, at
+    least one level, and every range nonempty."""
+    H = tuple(int(v) for v in H)
+    wins = tuple(tuple(int(p) for p in w) for w in windows)
+    if len(H) != len(wins):
+        raise DomainError("H and windows must have equal length")
+    if not H:
+        raise DomainError("need at least one difference level")
+    if x_range < 1 or any(b < 1 for b in H) or any(not w for w in wins):
+        raise DomainError("all ranges must be nonempty")
+    return H, wins
+
+
 def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
             budget: int = F_I_SUM_BUDGET) -> complex:
     """Nested sum of e(q^k * psi_i(x; h; p^k) * alpha) over all ranges.
@@ -160,14 +174,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     x ranges over [1, x_range].  Exact phase reduction keeps the result
     deterministic; the term count is checked against the budget first.
     """
-    H = [int(v) for v in H]
-    wins = [tuple(int(p) for p in w) for w in windows]
-    if len(H) != len(wins):
-        raise DomainError("H and windows must have equal length")
-    if not H:
-        raise DomainError("need at least one difference level")
-    if x_range < 1 or any(b < 1 for b in H) or any(not w for w in wins):
-        raise DomainError("all ranges must be nonempty")
+    H, wins = nested_ranges(H, windows, x_range)
     terms = math.prod(H) * math.prod(len(w) for w in wins) * x_range
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed budget {budget}",

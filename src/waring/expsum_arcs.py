@@ -10,6 +10,12 @@ estimate, since odd absolute powers are not trigonometric polynomials.
 Rational classification walks the continued-fraction convergents of alpha:
 for arc radii below 1/(2q^2) every covering fraction is a convergent, so the
 first covering convergent is the major-arc label with smallest q.
+
+Every set-backed sum (FullInterval, SetPowers, SinglePrime, PrimeSmooth) is
+one product form, the sum of e((m x)^k alpha) over multipliers m and
+elements x.  In one moment call each distinct factor spec is evaluated once
+(an inverse FFT of its grid counts, or its sum at the arc samples), and F
+and conj(F) share it.
 """
 
 from __future__ import annotations
@@ -89,68 +95,58 @@ class DifferenceSum:
     windows: tuple   # tuple of tuples of primes
     x_range: int
 
+    def __post_init__(self):
+        differences.nested_ranges(self.H, self.windows, self.x_range)
+
 
 ExpSumSpec = Union[FullInterval, SetPowers, SinglePrime, PrimeSmooth,
                    DifferenceSum]
 
 
+def _product_form(spec) -> tuple:
+    """(multipliers, elements) of a set-backed spec, both nonempty."""
+    if isinstance(spec, FullInterval):
+        ms, xs = (1,), range(1, spec.P + 1)
+    elif isinstance(spec, SetPowers):
+        ms, xs = (1,), spec.elements
+    elif isinstance(spec, SinglePrime):
+        ms, xs = (spec.p,), spec.elements
+    elif isinstance(spec, PrimeSmooth):
+        ms, xs = spec.primes, spec.elements
+    else:
+        raise DomainError(f"unknown spec {spec!r}")
+    if not ms or not xs:
+        raise DomainError(f"{type(spec).__name__} sum has no terms")
+    return ms, xs
+
+
 @lru_cache(maxsize=64)
 def frequencies(spec: ExpSumSpec) -> tuple:
     """All integer frequencies of the sum, with multiplicity."""
-    if isinstance(spec, FullInterval):
-        return tuple(x**spec.k for x in range(1, spec.P + 1))
-    if isinstance(spec, SetPowers):
-        if not spec.elements:
-            raise DomainError("set-backed sum has no elements")
-        return tuple(x**spec.k for x in spec.elements)
-    if isinstance(spec, SinglePrime):
-        if not spec.elements:
-            raise DomainError("set-backed sum has no elements")
-        pk = spec.p**spec.k
-        return tuple(pk * x**spec.k for x in spec.elements)
-    if isinstance(spec, PrimeSmooth):
-        if not spec.primes or not spec.elements:
-            raise DomainError("prime-smooth sum has an empty range")
-        return tuple(p**spec.k * x**spec.k
-                     for p in spec.primes for x in spec.elements)
     if isinstance(spec, DifferenceSum):
         return differences.nested_frequencies(spec.q, spec.k, spec.H,
                                               spec.windows, spec.x_range)
-    raise DomainError(f"unknown spec {spec!r}")
+    ms, xs = _product_form(spec)
+    return tuple((m * x)**spec.k for m in ms for x in xs)
 
 
 def term_count(spec: ExpSumSpec) -> int:
-    if isinstance(spec, FullInterval):
-        return spec.P
-    if isinstance(spec, SetPowers):
-        return len(spec.elements)
-    if isinstance(spec, SinglePrime):
-        return len(spec.elements)
-    if isinstance(spec, PrimeSmooth):
-        return len(spec.primes) * len(spec.elements)
     if isinstance(spec, DifferenceSum):
         return (math.prod(spec.H) * math.prod(len(w) for w in spec.windows)
                 * spec.x_range)
-    raise DomainError(f"unknown spec {spec!r}")
+    ms, xs = _product_form(spec)
+    return len(ms) * len(xs)
 
 
 def max_frequency(spec: ExpSumSpec) -> int:
     """Largest |frequency|, computable without enumerating the terms."""
-    if isinstance(spec, FullInterval):
-        return spec.P**spec.k
-    if isinstance(spec, SetPowers):
-        return max(map(abs, spec.elements)) ** spec.k
-    if isinstance(spec, SinglePrime):
-        return (spec.p * max(map(abs, spec.elements))) ** spec.k
-    if isinstance(spec, PrimeSmooth):
-        return (max(spec.primes) * max(map(abs, spec.elements))) ** spec.k
     if isinstance(spec, DifferenceSum):
         # psi coefficients are positive and increase in every argument
-        hs = tuple(spec.H)
         ps = tuple(max(w) for w in spec.windows)
-        poly = differences.psi(spec.k, hs, ps).result
+        poly = differences.psi(spec.k, spec.H, ps).result
         return spec.q**spec.k * poly.evaluate(spec.x_range)
-    raise DomainError(f"unknown spec {spec!r}")
+    ms, xs = _product_form(spec)
+    return (max(map(abs, ms)) * max(map(abs, xs)))**spec.k
 
 
 def eval_at(spec: ExpSumSpec, alpha: float) -> complex:
@@ -291,24 +287,21 @@ def classify(alpha: float, d: ArcDissection, which: str = "M") -> Major | None:
     lo0, hi0 = d.interval
     if not lo0 - 1e-12 <= alpha <= hi0 + 1e-12:
         raise DomainError(f"alpha={alpha} outside the base interval")
-    qmax = d.Q_major if which == "M" else math.floor(d.W)
+    if which == "M":
+        qmax, scale = d.Q_major, Fraction(1)
+    else:
+        qmax, scale = math.floor(d.W), Fraction(d.W) / Fraction(d.P)
     tau = Fraction(d.tau)
     exact_alpha = Fraction(alpha)
-    if which == "M":
-        def radius(q):
-            return Fraction(1, q) / tau
-    else:
-        W, P = Fraction(d.W), Fraction(d.P)
-        def radius(q):
-            return W / (q * tau * P)
     num, den = exact_alpha.as_integer_ratio()
     for a, q in _convergents(num, den):
         if q > qmax:
             break
         if not 1 <= a <= q:
             continue
-        if abs(exact_alpha - Fraction(a, q)) <= radius(q):
-            assert abs(alpha - a / q) <= float(radius(q)) * (1 + 1e-12)
+        radius = scale / (q * tau)
+        if abs(exact_alpha - Fraction(a, q)) <= radius:
+            assert abs(alpha - a / q) <= float(radius) * (1 + 1e-12)
             return Major(q=q, a=a)
     return None
 
@@ -359,18 +352,30 @@ def _conjugate_paired(m: MomentSpec) -> bool:
     return all(v == 0 for v in bal.values())
 
 
+def _factor_product(m: MomentSpec, n: int, values) -> np.ndarray:
+    """Product of m's factors at n points; values(frequencies) gives one
+    factor's n values and runs once per distinct spec."""
+    cache: dict = {}
+    prod = np.ones(n, dtype=complex)
+    for f in m.factors:
+        vals = cache.get(f.spec)
+        if vals is None:
+            vals = cache[f.spec] = values(frequencies(f.spec))
+        if f.conjugated:
+            vals = np.conj(vals)
+        prod *= vals**f.exponent
+    return prod
+
+
 def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float:
     """Mean of the factor product over a grid finer than its frequency span.
 
     Exact for the full-interval integral of the trigonometric polynomial,
     so counting moments land on integers to rounding.  Absolute-value
     moments must be expressed through conjugate pairs (|F|^(2s)); odd
-    absolute powers are not polynomials and are rejected.
-
-    Each distinct factor spec is transformed once per call: its frequency
-    counts (np.bincount on the grid) go through one inverse FFT, shared by
-    F and conj(F).  The grid sum is math.fsum, which is order-independent,
-    so the result depends only on the grid length and the factor products.
+    absolute powers are not polynomials and are rejected.  The grid sum is
+    math.fsum, which is order-independent, so the result depends only on
+    the grid length and the factor products.
     """
     if m.region != "full":
         raise DomainError("exact_moment requires region='full'")
@@ -381,17 +386,11 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     if M > budget_grid:
         raise BudgetError(f"grid of {M} points exceeds budget {budget_grid}",
                           predicted=M, budget=budget_grid)
-    transforms: dict = {}
-    prod = np.ones(M, dtype=complex)
-    for f in m.factors:
-        vals = transforms.get(f.spec)
-        if vals is None:
-            freqs = np.array(frequencies(f.spec), dtype=np.int64) % M
-            counts = np.bincount(freqs, minlength=M)
-            vals = transforms[f.spec] = np.fft.ifft(counts) * M
-        if f.conjugated:
-            vals = np.conj(vals)
-        prod *= vals**f.exponent
+    def transform(freqs):
+        counts = np.bincount(np.array(freqs, dtype=np.int64) % M, minlength=M)
+        return np.fft.ifft(counts) * M
+
+    prod = _factor_product(m, M, transform)
     if m.target is not None:
         js = np.arange(M, dtype=np.int64)
         ph = (m.target % M) * js % M
@@ -414,25 +413,6 @@ class ArcMomentResult:
     samples_per_arc: int
 
 
-def _sampled_product(m: MomentSpec, pts: np.ndarray) -> np.ndarray:
-    sums: dict = {}
-    prod = np.ones(len(pts), dtype=complex)
-    for f in m.factors:
-        vals = sums.get(f.spec)
-        if vals is None:
-            freqs = np.array(frequencies(f.spec), dtype=float)
-            vals = np.exp(2j * np.pi * np.outer(pts, freqs)).sum(axis=1)
-            sums[f.spec] = vals
-        if f.conjugated:
-            vals = np.conj(vals)
-        prod *= vals**f.exponent
-    if m.target is not None:
-        prod *= np.exp(-2j * np.pi * m.target * pts)
-    if m.absolute:
-        return np.abs(prod)
-    return prod
-
-
 def arc_moment(m: MomentSpec, d: ArcDissection,
                samples_per_arc: int = 64) -> ArcMomentResult:
     """Composite midpoint quadrature of the moment over an arc region.
@@ -452,7 +432,12 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
         for lo, hi in ivs:
             h = (hi - lo) / n
             pts = lo + (np.arange(n) + 0.5) * h
-            vals = _sampled_product(m, pts)
+            vals = _factor_product(m, n, lambda freqs: np.exp(
+                2j * np.pi * np.outer(pts, np.array(freqs, dtype=float))).sum(axis=1))
+            if m.target is not None:
+                vals *= np.exp(-2j * np.pi * m.target * pts)
+            if m.absolute:
+                vals = np.abs(vals)
             acc += complex(math.fsum(vals.real), math.fsum(vals.imag)) * h
         return acc
 

@@ -255,15 +255,3 @@ class TestGkBound:
         assert be.gk_bound(10, "2").theorem == "T2"
         with pytest.raises(DomainError):
             be.gk_bound(10, "T3")
-
-
-class TestBoundParams:
-    def test_valid(self):
-        p = be.BoundParams(k=3, s=2, theta=0.4)
-        assert p.k == 3
-
-    @pytest.mark.parametrize("k,s,theta", [(2, 2, 0.4), (3, 1, 0.4),
-                                           (3, 2, 0.0), (3, 2, 1.01)])
-    def test_invalid(self, k, s, theta):
-        with pytest.raises(DomainError):
-            be.BoundParams(k=k, s=s, theta=theta)

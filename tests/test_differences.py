@@ -184,6 +184,12 @@ class TestFiSum:
             df.f_i_sum(0.1, 2, 3, [2], [(2,), (3,)], 4)
         with pytest.raises(DomainError):
             df.f_i_sum(0.1, 2, 3, [2], [()], 4)
+        with pytest.raises(DomainError):
+            df.f_i_sum(0.1, 2, 3, [], [], 4)
+        with pytest.raises(DomainError):
+            df.f_i_sum(0.1, 2, 3, [0], [(2,)], 4)
+        with pytest.raises(DomainError):
+            df.f_i_sum(0.1, 2, 3, [2], [(2,)], 0)
 
 
 class TestLemma7:

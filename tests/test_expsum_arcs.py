@@ -114,6 +114,50 @@ class TestSpecs:
         with pytest.raises(DomainError):
             ea.frequencies(ea.SetPowers(elements=(), k=3))
 
+    # each spec kind against its frequencies written out by hand, in order
+    @pytest.mark.parametrize("spec,freqs", [
+        (ea.FullInterval(P=4, k=3), [x**3 for x in range(1, 5)]),
+        (ea.SetPowers(elements=(-3, 2, -1), k=3), [-27, 8, -1]),
+        (ea.SetPowers(elements=(-5, 1), k=2), [25, 1]),
+        (ea.SinglePrime(elements=(-4, 3), p=5, k=3),
+         [5**3 * x**3 for x in (-4, 3)]),
+        (ea.PrimeSmooth(k=3, P=100.0, primes=(5, 7), elements=(-2, 1, 3)),
+         [p**3 * x**3 for p in (5, 7) for x in (-2, 1, 3)]),
+        (ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2, 3),), x_range=3),
+         [2**3 * (((x + h * p**3)**3 - x**3) // p**3)
+          for h in (1, 2) for p in (2, 3) for x in (1, 2, 3)]),
+    ], ids=["full", "set", "set_k2", "single_prime", "prime_smooth", "difference"])
+    def test_frequency_table(self, spec, freqs):
+        assert ea.frequencies(spec) == tuple(freqs)
+        assert ea.term_count(spec) == len(ea.frequencies(spec))
+        assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ea.FullInterval(P=0, k=3),
+        lambda: ea.SetPowers(elements=(), k=2),
+        lambda: ea.SinglePrime(elements=(), p=3, k=2),
+        lambda: ea.PrimeSmooth(k=3, P=100.0, primes=(), elements=(1, 2)),
+        lambda: ea.PrimeSmooth(k=3, P=100.0, primes=(7,), elements=()),
+        lambda: ("not", "a spec"),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(), windows=(), x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(0,), windows=((2,),), x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((),), x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2,), (3,)),
+                                 x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2,),), x_range=0),
+    ], ids=["full_P0", "set_empty", "single_prime_empty", "no_primes",
+            "no_elements", "unknown", "diff_no_level", "diff_zero_step",
+            "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0"])
+    @pytest.mark.parametrize("entry", [
+        ea.frequencies, ea.term_count, ea.max_frequency,
+        lambda spec: ea.eval_at(spec, 0.25),
+        lambda spec: ea.exact_moment(ea.abs_power(spec, 2)),
+    ], ids=["frequencies", "term_count", "max_frequency", "eval_at",
+            "exact_moment"])
+    def test_empty_or_malformed_spec_rejected(self, make, entry):
+        with pytest.raises(DomainError):
+            entry(make())
+
 
 class TestClassify:
     def setup_method(self):
