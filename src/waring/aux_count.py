@@ -15,7 +15,10 @@ int64.  Outer sums add limb by limb, then carry once (digit sums stay below
 every count and count product, is below 2^63, and Python ints above it.
 The kernel sorts the outer sums of a block of about _BLOCK_PAIRS entries,
 adds up each run of equal keys and merges the reduced blocks as it goes, so
-memory stays within twice the number of distinct sums plus one block.
+memory stays within twice the number of distinct sums plus one block.  Keys
+of L > 1 limbs sort once on an int64 lead made from their top two limbs,
+which ascends with the key; a group of equal leads is lexsorted only if it
+holds unequal keys, as most are equal sums (x^k + y^k and y^k + x^k).
 
 brute_force_s_count and brute_force_t_pq enumerate tuples directly; they are
 the independent reference route and share no code with the fast path.
@@ -132,29 +135,69 @@ def _split(values, L: int) -> np.ndarray:
                       for v in values] for j in range(L)], dtype=np.int64)
 
 
+def _lead(keys: np.ndarray) -> np.ndarray:
+    """The top limb shifted left b bits, then the top b bits of the next limb.
+
+    b = 62 minus the bit width of the largest |top limb|, at least 0, so the
+    shift never overflows and the lead ascends (not strictly) with the key.
+    """
+    top = keys[-1]
+    b = max(0, _LIMB - max(-int(top.min()), int(top.max())).bit_length())
+    return (top << b) | (keys[-2] >> (_LIMB - b))
+
+
 def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys ascending, each with the sum of its counts (rows of counts).
 
     Empties the input list of (keys, counts) tables and gathers one array at
-    a time, so the peak stays near twice the input.  An LSD sort: the first
-    pass needs no stability, as equal keys are summed in any order; later
-    passes keep it.  With one limb, ascending tables are runs that a stable
-    first pass merges in linear time.
+    a time, so the peak stays near twice the input.  Equal keys are summed
+    in any order, so one sort needs no stability, but with one limb
+    ascending tables are runs that a stable sort merges in linear time.
+    With L > 1 limbs one sort orders the keys by their int64 _lead, and only
+    the groups of equal leads that hold unequal keys are then lexsorted in
+    place.  Most equal leads are true duplicates (x^k + y^k beside
+    y^k + x^k), which any order already leaves as one run.
     """
     keys = np.concatenate([k for k, _ in tables], axis=1)
     counts = np.concatenate([c for _, c in tables])
     kind = "stable" if len(tables) > 1 and len(keys) == 1 else None
     tables.clear()
-    order = np.argsort(keys[0], kind=kind)
-    for limb in keys[1:]:
-        order = order[np.argsort(limb[order], kind="stable")]
+    if len(keys) == 1:
+        order = np.argsort(keys[0], kind=kind)
+    else:
+        lead = _lead(keys)
+        order = np.argsort(lead)
+        lead = lead[order]
+        tied = lead[1:] == lead[:-1]
+        del lead  # before the gathers, which set the peak
     counts = counts[order]
     keys = keys[:, order]
     del order
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
+    new = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    if len(keys) > 1 and (tied & new).any():
+        _sort_ties(keys, counts, tied, new)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
     counts = np.add.reduceat(counts, starts)
     return keys[:, starts], counts
+
+
+def _sort_ties(keys: np.ndarray, counts: np.ndarray, tied: np.ndarray,
+               new: np.ndarray) -> None:
+    """Lexsort in place each group of equal leads that holds unequal keys.
+
+    tied[i] says keys i and i+1 share a lead and new[i] that they differ;
+    new is mended inside the groups.  One lexsort over all such groups keeps
+    each group in its place, as the lead ascends with the key.
+    """
+    group = np.concatenate(([0], np.cumsum(~tied)))
+    hot = np.zeros(group[-1] + 1, dtype=bool)
+    hot[group[1:][tied & new]] = True
+    idx = np.flatnonzero(hot[group])
+    del group
+    sub = idx[np.lexsort(keys[:, idx])]
+    keys[:, idx], counts[idx] = keys[:, sub], counts[sub]
+    inner = idx[:-1][tied[idx[:-1]]]
+    new[inner] = (keys[:, inner + 1] != keys[:, inner]).any(axis=0)
 
 
 def _add(ak: np.ndarray, bk: np.ndarray) -> np.ndarray:

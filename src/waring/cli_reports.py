@@ -193,11 +193,7 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
         buf.write(f"# generated: {_timestamp()}\n")
         for key, val in meta.items():
             buf.write(f"# {key}: {val}\n")
-        cols: list = []
-        for row in rows:
-            for c in row:
-                if c not in cols:
-                    cols.append(c)
+        cols = list(dict.fromkeys(c for row in rows for c in row))
         writer = csv.DictWriter(buf, fieldnames=cols, restval="")
         writer.writeheader()
         writer.writerows(rows)

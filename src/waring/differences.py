@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetError, DivisibilityError, DomainError
 from .phases import unit_sum
@@ -152,18 +152,24 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     return tuple(out)
 
 
-def nested_ranges(H, windows, x_range: int) -> tuple:
-    """(H, windows) as int tuples, checked: one window per step bound, at
-    least one level, and every range nonempty."""
+def nested_ranges(k: int, H, windows, x_range: int) -> tuple:
+    """(H, windows, term count) with H and windows as int tuples, checked as
+    psi checks them (at most k levels, prime windows) and also: one window
+    per step bound, at least one level, and every range nonempty."""
     H = tuple(int(v) for v in H)
     wins = tuple(tuple(int(p) for p in w) for w in windows)
     if len(H) != len(wins):
         raise DomainError("H and windows must have equal length")
     if not H:
         raise DomainError("need at least one difference level")
+    if k < 1 or len(H) > k:
+        raise DomainError(f"need 0 <= i <= k, got i={len(H)}, k={k}")
     if x_range < 1 or any(b < 1 for b in H) or any(not w for w in wins):
         raise DomainError("all ranges must be nonempty")
-    return H, wins
+    for p in chain(*wins):
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+    return H, wins, math.prod(H) * math.prod(map(len, wins)) * x_range
 
 
 def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
@@ -174,8 +180,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     x ranges over [1, x_range].  Exact phase reduction keeps the result
     deterministic; the term count is checked against the budget first.
     """
-    H, wins = nested_ranges(H, windows, x_range)
-    terms = math.prod(H) * math.prod(len(w) for w in wins) * x_range
+    H, wins, terms = nested_ranges(k, H, windows, x_range)
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed budget {budget}",
                           predicted=terms, budget=budget)

@@ -96,7 +96,7 @@ class DifferenceSum:
     x_range: int
 
     def __post_init__(self):
-        differences.nested_ranges(self.H, self.windows, self.x_range)
+        differences.nested_ranges(self.k, self.H, self.windows, self.x_range)
 
 
 ExpSumSpec = Union[FullInterval, SetPowers, SinglePrime, PrimeSmooth,
@@ -132,8 +132,8 @@ def frequencies(spec: ExpSumSpec) -> tuple:
 
 def term_count(spec: ExpSumSpec) -> int:
     if isinstance(spec, DifferenceSum):
-        return (math.prod(spec.H) * math.prod(len(w) for w in spec.windows)
-                * spec.x_range)
+        return differences.nested_ranges(spec.k, spec.H, spec.windows,
+                                         spec.x_range)[2]
     ms, xs = _product_form(spec)
     return len(ms) * len(xs)
 
@@ -316,6 +316,10 @@ class MomentFactor:
     exponent: int
     conjugated: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.exponent, int) or self.exponent < 1:
+            raise DomainError(f"exponent {self.exponent!r} is not a positive int")
+
 
 @dataclass(frozen=True)
 class MomentSpec:
@@ -327,8 +331,6 @@ class MomentSpec:
 
 def abs_power(spec: ExpSumSpec, power: int, region: str = "full") -> MomentSpec:
     """|F|^power as a moment spec; even powers become a conjugate pair."""
-    if power < 1:
-        raise DomainError(f"power must be >= 1, got {power}")
     if power % 2 == 0:
         half = power // 2
         factors = (MomentFactor(spec, half, False), MomentFactor(spec, half, True))

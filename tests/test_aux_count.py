@@ -268,6 +268,121 @@ class TestInt64Kernel:
             assert all(type(v) is int and type(c) is int for v, c in table.items())
 
 
+class TestLeadSort:
+    """_runs sorts keys of L > 1 limbs once on an int64 lead and lexsorts only
+    the groups of equal leads that hold unequal keys; one limb is unchanged."""
+
+    @staticmethod
+    def runs(tables, L):
+        """_runs over (values, counts) tables of Python ints, as plain lists."""
+        keys, counts = ac._runs([(ac._split(vs, L), np.array(cs, dtype=np.int64))
+                                 for vs, cs in tables])
+        rep = ac.RepFunction(k=1, s=1, domains=(), keys=keys, counts=counts,
+                             total=0)
+        return rep.values.tolist(), counts.tolist()
+
+    @staticmethod
+    def want(tables):
+        total = Counter()
+        for vs, cs in tables:
+            for v, c in zip(vs, cs):
+                total[v] += c
+        values = sorted(total)
+        return values, [total[v] for v in values]
+
+    @staticmethod
+    def tables(values, parts, seed):
+        """values shuffled with counts 1..3, cut into parts tables; with
+        parts > 1 each table is first reduced, as _convolve's merges are."""
+        rng = random.Random(seed)
+        values = list(values)
+        rng.shuffle(values)
+        cuts = sorted(rng.sample(range(1, len(values)), parts - 1))
+        out = []
+        for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+            table = (values[lo:hi], [rng.randint(1, 3) for _ in values[lo:hi]])
+            if parts > 1:
+                table = TestLeadSort.want([table])
+            out.append(table)
+        return out
+
+    # top limbs in [-3, 3] leave b = 60, so sums that differ only in the two
+    # lowest bits of the next limb share a lead
+    near = [t * 2**62 + m + j for t in (-3, -1, 0, 2, 3)
+            for m in (0, 4 * 12345, 2**61, 2**62 - 4) for j in range(4)]
+    cases = {
+        "equal_leads": (near * 2, 2),
+        "duplicates_only": ([-(2**70) + 7, 5 * 2**62, 2**65 - 1] * 40, 2),
+        "negative_top": ([-(2**64) - 3 * j for j in range(50)] * 2, 2),
+        # the top limb spans [-2^63, 2^63): b clamps to 0 and the lead is it
+        "widest_top": ([t * 2**62 + d for t in (-(2**63), -1, 2**63 - 1)
+                        for d in (0, 1, 2**61, 2**62 - 1)] * 3, 2),
+        "three_limbs": ([t * 2**124 + m * 2**62 + j for t in (-2, 0, 1)
+                         for m in (0, 3, 2**62 - 1) for j in (0, 1, 2, 3)] * 2, 3),
+    }
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    @pytest.mark.parametrize("name", list(cases))
+    def test_against_sorted(self, name, parts):
+        values, L = self.cases[name]
+        for seed in range(3):
+            tables = self.tables(values, parts, seed)
+            assert self.runs(tables, L) == self.want(tables)
+
+    def test_two_column_counts(self):
+        # t_pq_count's union: left and right counts in two columns
+        vs = self.near * 2
+        cs = np.arange(2 * len(vs)).reshape(-1, 2)
+        order = random.Random(4).sample(range(len(vs)), len(vs))
+        keys, counts = ac._runs([(ac._split([vs[i] for i in order], 2), cs[order])])
+        want: dict = {}
+        for v, (a, b) in zip(vs, cs.tolist()):
+            left, right = want.get(v, (0, 0))
+            want[v] = [left + a, right + b]
+        got = ac.RepFunction(1, 1, (), keys, counts, 0).values.tolist()
+        assert got == sorted(want)
+        assert counts.tolist() == [want[v] for v in got]
+
+    def sorts(self, monkeypatch):
+        """Record each argsort's kind and each lexsort's length."""
+        calls = []
+        argsort, lexsort = np.argsort, np.lexsort
+        monkeypatch.setattr(np, "argsort", lambda a, kind=None: calls.append(
+            ("argsort", kind)) or argsort(a, kind=kind))
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(
+            ("lexsort", keys.shape[1])) or lexsort(keys))
+        return calls
+
+    def test_one_limb_sorts(self, monkeypatch):
+        calls = self.sorts(monkeypatch)
+        ac._runs([(np.array([[5, 1, 5, -2]]), np.ones(4, dtype=np.int64))])
+        one = np.ones(2, dtype=np.int64)
+        ac._runs([(np.array([[1, 4]]), one), (np.array([[2, 4]]), one)])
+        assert calls == [("argsort", None), ("argsort", "stable")]
+
+    def test_lexsort_only_unequal_ties(self, monkeypatch):
+        calls = self.sorts(monkeypatch)
+        # top limbs all 0: b = 62 and the lead is the whole low limb
+        tables = self.tables([3, 1, 2**62 - 1, 0, 2**40, 7] * 2, 2, 0)
+        assert self.runs(tables, 2) == self.want(tables)
+        assert calls == [("argsort", None)]
+        del calls[:]
+        # top limbs 1 and 2 leave b = 60: the five sums 2^62 + 0..3 share one
+        # lead, 2^63 + 2 and 2^63 + 3 another, and 2^62 + 2^60 is alone
+        tied = [2**62, 2**62 + 1, 2**62 + 1, 2**62 + 2, 2**62 + 3,
+                2**62 + 2**60, 2**63 + 2, 2**63 + 3]
+        vals, _ = self.runs([(tied, [1] * len(tied))], 2)
+        assert vals == sorted(set(tied))
+        assert calls == [("argsort", None), ("lexsort", 7)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=st.lists(TestInt64Kernel.wide, min_size=1, max_size=6, unique=True),
+           s=st.integers(1, 3), k=st.integers(1, 4))
+    def test_keys_strictly_ascend(self, X, s, k):
+        values = ac.rep_function([X] * s, k).values.tolist()
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+
 class TestLemma1:
     @pytest.mark.parametrize("P,lhs,rhs", [
         (8, 120, 184), (12, 284, 428), (16, 1471, 6144)])

@@ -145,9 +145,13 @@ class TestSpecs:
         lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2,), (3,)),
                                  x_range=3),
         lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2,),), x_range=0),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((4,),), x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=2, H=(1, 1, 1),
+                                 windows=((2,), (3,), (5,)), x_range=3),
     ], ids=["full_P0", "set_empty", "single_prime_empty", "no_primes",
             "no_elements", "unknown", "diff_no_level", "diff_zero_step",
-            "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0"])
+            "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0",
+            "diff_not_prime", "diff_more_than_k_levels"])
     @pytest.mark.parametrize("entry", [
         ea.frequencies, ea.term_count, ea.max_frequency,
         lambda spec: ea.eval_at(spec, 0.25),
@@ -334,6 +338,22 @@ class TestExactMoment:
         m = ea.abs_power(ea.FullInterval(P=50, k=3), 4)
         with pytest.raises(BudgetError):
             ea.exact_moment(m, budget_grid=1000)
+
+    @pytest.mark.parametrize("exponent", [-1, 0, 2.5])
+    def test_exponent_must_be_positive_int(self, exponent):
+        spec = ea.FullInterval(P=5, k=3)
+        d = ea.ArcDissection.make(5, 3)
+        with pytest.raises(DomainError):
+            ea.exact_moment(ea.MomentSpec(
+                factors=(ea.MomentFactor(spec, exponent),), absolute=False))
+        with pytest.raises(DomainError):
+            ea.arc_moment(ea.MomentSpec(factors=(ea.MomentFactor(spec, exponent),),
+                                        region="major"), d, samples_per_arc=64)
+        with pytest.raises(DomainError):
+            ea.exact_moment(ea.abs_power(spec, exponent))
+        with pytest.raises(DomainError):
+            ea.arc_moment(ea.abs_power(spec, exponent, "major"), d,
+                          samples_per_arc=64)
 
 
 class TestArcMoment:
