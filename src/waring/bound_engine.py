@@ -4,11 +4,14 @@ Everything here is closed-form or a one-dimensional iteration/scan, in double
 precision.  The two headline calculators:
 
   * gk_bound(k, "T1"): minimize 7 + 2v + 2*ceil(C * r^v) over integer v,
-    where C = (k-2)/(2*sigma_hat) and r = k/(k+1).
+    where C = (k-2)/(2*sigma_hat) and r = k/(k+1); the scan stops at the
+    first v with 7 + 2v above the best bound so far.
   * gk_bound(k, "T2"): evaluate 3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)) at
     the prescribed u = 1 + ceil((k+1)/2 * log(1/sigma_hat)), with Delta(u)
     taken both from the closed decay bound 2k*exp(-2(u-1)/(k+1)) (headline)
-    and from the exact coupled iteration (recorded alongside).
+    and from the exact coupled iteration (recorded alongside).  A scan of
+    each over u near the prescribed one stops at the first u with 3 + 2u at
+    or above its best bound so far.
 
 sigma_hat comes from solve_sigma: the positive root of (1+x)*beta = e^x with
 beta = (k-2)(k+1)^2/k^2 feeds sigma_hat = log(1+1/k)/(4(1+root)).
@@ -63,9 +66,6 @@ class ExponentTable:
     def delta_at(self, s: int) -> float:
         return self.deltas[self._idx(s)]
 
-    def theta_at(self, s: int) -> float:
-        return self.thetas_used[self._idx(s)]
-
 
 @dataclass(frozen=True)
 class SigmaData:
@@ -87,11 +87,6 @@ class ThetaSchedule:
     k: int
     delta_prev: float
     thetas: tuple[float, ...]
-
-    def theta(self, j: int) -> float:
-        if not 1 <= j <= self.k:
-            raise DomainError(f"j={j} outside [1, {self.k}]")
-        return self.thetas[j - 1]
 
 
 @dataclass(frozen=True)
@@ -233,12 +228,6 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     return _delta_steps(k, s_max, full=False)
 
 
-def _t1_value(k: int, v: int, sig: SigmaData) -> tuple[int, float, int]:
-    arg = (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v
-    ceil_term = math.ceil(arg)
-    return 7 + 2 * v + 2 * ceil_term, arg, ceil_term
-
-
 def _t2_value(k: int, u: int, delta_u: float, sig: SigmaData) -> tuple[int, int]:
     ceil_term = math.ceil(delta_u / (2 * sig.sigma_hat))
     return 3 + 2 * u + 2 * ceil_term, ceil_term
@@ -247,11 +236,17 @@ def _t2_value(k: int, u: int, delta_u: float, sig: SigmaData) -> tuple[int, int]
 def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     """Upper bound for the least number of k-th powers, by either route.
 
-    T1 scans v over [0, scan_factor * continuous optimum] and keeps the
-    minimizing value (ties resolved toward the continuous optimum).  T2 uses
-    the prescribed u and the closed Delta bound for the headline number;
-    the exact-iteration variant and a +-3k scan minimum are recorded in
-    `choice`.
+    T1 scans v upward from 0 and keeps the minimizing value (ties resolved
+    toward the continuous optimum).  The ceil term is never negative, so the
+    scan stops at the first v with 7 + 2v > best: every later v is worse and
+    every tied minimizer has been seen.  T2 uses the prescribed u and the
+    closed Delta bound for the headline number; the exact-iteration variant
+    and the first strict minimum of a scan over u, by either Delta, are
+    recorded in `choice`.  Both Deltas are positive (the iteration maps D > 0
+    to D(k+D-1)/(k+D+1)), so each scan stops at the first u with
+    3 + 2u >= best.  `scan_hi` (scan_factor times the continuous optimum)
+    and `scan_window` (+-3k around u at the default scan_factor) are the
+    caps of the scans, not where they stopped.
     """
     thm = {"T1": "T1", "T2": "T2", 1: "T1", 2: "T2", "1": "T1", "2": "T2"}.get(theorem)
     if thm is None:
@@ -262,16 +257,15 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     if thm == "T1":
         vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
         v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
-        best_bound = None
-        values = []
-        for v in range(0, v_hi + 1):
-            bound, _, _ = _t1_value(k, v, sig)
-            values.append(bound)
-            if best_bound is None or bound < best_bound:
-                best_bound = bound
-        minimizers = [v for v, b in enumerate(values) if b == best_bound]
-        v_opt = min(minimizers, key=lambda v: (abs(v - vstar), v))
-        _, arg, ceil_term = _t1_value(k, v_opt, sig)
+        best = (math.inf,)  # (bound, |v - vstar|, v, ceil_arg, ceil_term)
+        for v in range(v_hi + 1):
+            if 7 + 2 * v > best[0]:  # every later v is worse still
+                break
+            arg = (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v
+            ceil_term = math.ceil(arg)
+            best = min(best, (7 + 2 * v + 2 * ceil_term, abs(v - vstar), v,
+                              arg, ceil_term))
+        best_bound, _, v_opt, arg, ceil_term = best
         return GkResult(
             k=k, theorem="T1", bound=best_bound,
             choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
@@ -292,15 +286,17 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     bound_exact, _ = _t2_value(k, u, delta_u_exact, sig)
 
     def scan(delta_of_u) -> tuple[int, int]:
-        best = None
+        best = (None, math.inf)
         for uu in range(scan_lo, scan_hi + 1):
+            if 3 + 2 * uu >= best[1]:  # no later uu can improve strictly
+                break
             b, _ = _t2_value(k, uu, delta_of_u(uu), sig)
-            if best is None or b < best[1]:
+            if b < best[1]:
                 best = (uu, b)
         return best
 
     scan_closed = scan(lambda uu: delta_bound(k, uu))
-    scan_exact = scan(lambda uu: table.delta_at(uu))
+    scan_exact = scan(lambda uu: table.deltas[uu - 2])
     return GkResult(
         k=k, theorem="T2", bound=bound_closed,
         choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,

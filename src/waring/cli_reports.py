@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -88,7 +89,9 @@ class RunConfig:
     budget_grid: int = _option(_positive(int), expsum_arcs.DEFAULT_GRID_BUDGET)
     seed: int = _option(int, 0)
     format: str = _option(_one_of("csv", "json"), "csv", "csv or json")
-    out: str | None = _option(str)
+    out: str | None = _option(_checked(
+        str, lambda path: os.path.isdir(os.path.dirname(path) or ".")
+        and not os.path.isdir(path), "must name a file in an existing directory"))
     paper_faithful: bool = _option(_bool, False)
     tpq: tuple[int, int] | None = _option(
         _checked(_list(int), lambda v: len(v) == 2 and min(v) > 0,
@@ -194,9 +197,9 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
         for key, val in meta.items():
             buf.write(f"# {key}: {val}\n")
         cols = list(dict.fromkeys(c for row in rows for c in row))
-        writer = csv.DictWriter(buf, fieldnames=cols, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf)
+        writer.writerow(cols)
+        writer.writerows([row.get(c, "") for c in cols] for row in rows)
         text = buf.getvalue()
     if cfg.out:
         _write(cfg.out, text)
@@ -242,11 +245,11 @@ def _cmd_bounds(cfg: RunConfig) -> int:
             })
         s_hi = cfg.s or max(20, 2 * k)
         table = bound_engine.delta_iterate(k, s_hi)
-        for s in range(2, s_hi + 1):
+        for s, lam, delta, theta in zip(range(2, s_hi + 1), table.lambdas,
+                                        table.deltas, table.thetas_used):
             rows.append({
-                "record": "exponent", "k": k, "s": s,
-                "lambda": table.lambda_at(s), "delta": table.delta_at(s),
-                "theta_used": table.theta_at(s),
+                "record": "exponent", "k": k, "s": s, "lambda": lam,
+                "delta": delta, "theta_used": theta,
                 "delta_closed_bound": bound_engine.delta_bound(k, s),
                 "provenance": "bound_engine.delta_iterate",
             })

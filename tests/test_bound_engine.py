@@ -255,3 +255,103 @@ class TestGkBound:
         assert be.gk_bound(10, "2").theorem == "T2"
         with pytest.raises(DomainError):
             be.gk_bound(10, "T3")
+
+
+def _full_scan_gk(k, theorem, scan_factor):
+    """The bound scans as they were before they stopped early: every v in
+    [0, scan_hi] and every u in the scan window is evaluated.  The oracle
+    for the pruned scans of gk_bound."""
+    sig = be.solve_sigma(k)
+    caveat = k < be.SMALL_K_CUTOFF
+
+    def t1_value(v):
+        arg = (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v
+        ceil_term = math.ceil(arg)
+        return 7 + 2 * v + 2 * ceil_term, arg, ceil_term
+
+    def t2_value(u, delta_u):
+        ceil_term = math.ceil(delta_u / (2 * sig.sigma_hat))
+        return 3 + 2 * u + 2 * ceil_term, ceil_term
+
+    if theorem == "T1":
+        vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
+        v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
+        best_bound = None
+        values = []
+        for v in range(0, v_hi + 1):
+            bound, _, _ = t1_value(v)
+            values.append(bound)
+            if best_bound is None or bound < best_bound:
+                best_bound = bound
+        minimizers = [v for v, b in enumerate(values) if b == best_bound]
+        v_opt = min(minimizers, key=lambda v: (abs(v - vstar), v))
+        _, arg, ceil_term = t1_value(v_opt)
+        return be.GkResult(
+            k=k, theorem="T1", bound=best_bound,
+            choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
+                    "ceil_arg": arg, "scan_hi": v_hi},
+            continuous_optimum=vstar,
+            asymptote=2 * k * (math.log(k * math.log(k)) + 1 + math.log(2)),
+            small_k_caveat=caveat,
+        )
+
+    u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
+    u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
+    scan_lo, scan_hi = max(2, u - math.ceil(scan_factor / 4.0 * 3 * k)), \
+        u + math.ceil(scan_factor / 4.0 * 3 * k)
+    table = be.delta_iterate(k, scan_hi)
+    delta_u_closed = be.delta_bound(k, u)
+    delta_u_exact = table.delta_at(u)
+    bound_closed, ceil_term = t2_value(u, delta_u_closed)
+    bound_exact, _ = t2_value(u, delta_u_exact)
+
+    def scan(delta_of_u):
+        best = None
+        for uu in range(scan_lo, scan_hi + 1):
+            b, _ = t2_value(uu, delta_of_u(uu))
+            if best is None or b < best[1]:
+                best = (uu, b)
+        return best
+
+    scan_closed = scan(lambda uu: be.delta_bound(k, uu))
+    scan_exact = scan(lambda uu: table.delta_at(uu))
+    return be.GkResult(
+        k=k, theorem="T2", bound=bound_closed,
+        choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,
+                "delta_u_bound": delta_u_closed, "delta_u_exact": delta_u_exact,
+                "bound_exact_delta": bound_exact,
+                "scan_u_best": scan_closed[0], "scan_bound_best": scan_closed[1],
+                "scan_exact_u_best": scan_exact[0],
+                "scan_exact_bound_best": scan_exact[1],
+                "scan_window": (scan_lo, scan_hi)},
+        continuous_optimum=u_cont,
+        asymptote=k * math.log(k * math.log(k)),
+        small_k_caveat=caveat,
+    )
+
+
+class TestPrunedScans:
+    @pytest.mark.parametrize("scan_factor", [1, 4, 8])
+    @pytest.mark.parametrize("theorem", ["T1", "T2"])
+    def test_equal_to_full_scan(self, theorem, scan_factor):
+        for k in [*range(3, 301), 1000, 5000]:
+            r = be.gk_bound(k, theorem, scan_factor)
+            assert r == _full_scan_gk(k, theorem, scan_factor), k
+
+    def test_exact_deltas_keep_ceil_term_nonnegative(self):
+        # the T2 stop rule needs ceil(Delta/(2*sigma_hat)) >= 0 at every u
+        # the exact scan may read, that is Delta > -2*sigma_hat; the window
+        # at scan_factor 8 holds those at 1 and 4
+        for k in [*range(3, 301), 1000, 5000]:
+            lo, hi = be.gk_bound(k, "T2", 8).choice["scan_window"]
+            floor = -2 * be.solve_sigma(k).sigma_hat
+            assert min(be.delta_iterate(k, hi).deltas[lo - 2:]) > floor, k
+
+    def test_t2_excess_over_log_shape_falls(self):
+        # refs [4] and [8] give G(k) <= k(log k + log log k + O(1)); T2's
+        # excess bound/k - log k - log log k stays bounded and trends down
+        excess = [be.gk_bound(k, "T2").bound / k - math.log(k)
+                  - math.log(math.log(k))
+                  for k in (3, 10, 30, 100, 300, 1000, 3000, 10000)]
+        assert all(a >= b for a, b in zip(excess, excess[1:])), excess
+        assert max(excess) < 7.2

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 
@@ -70,6 +71,23 @@ class TestBounds:
         gk = [r for r in rows if r["record"] == "gk"]
         assert {r["k"] for r in gk} == {"10", "11"}
         assert all(r["provenance"] for r in rows)
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "59441e3527c3fee8107115c4a454a446e38f847dde556a3aa4e22d06afdc7710"),
+        ("json", "ccdc3b02f5b0eba43d00f31515b3a24ceb698337332575b1996ef1251de03ece"),
+    ])
+    def test_report_body_bytes_pinned(self, capsys, tmp_path, fmt, digest):
+        # every line but the timestamp; a faster gk_bound or _emit must
+        # leave these bytes as they are
+        out = tmp_path / f"b.{fmt}"
+        code, _, _ = run_cli(["bounds", "--k-range", "3:40", "--format", fmt,
+                              "--out", str(out)], capsys)
+        assert code == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = [line for line in lines
+                if not line.lstrip().startswith((b"# generated:", b'"generated":'))]
+        assert len(body) == len(lines) - 1
+        assert hashlib.sha256(b"".join(body)).hexdigest() == digest
 
 
 class TestConfigHandling:
@@ -211,6 +229,22 @@ class TestConfigHandling:
         record = json.loads(err)
         assert record["error"] == "ConfigError"
         assert str(out) in record["message"]
+
+    @pytest.mark.parametrize("name", ["missing/x.csv", "a_dir"])
+    def test_unusable_out_fails_before_work(self, capsys, tmp_path, monkeypatch,
+                                            name):
+        def never(*args, **kwargs):
+            raise AssertionError("gk_bound ran before --out was checked")
+        monkeypatch.setattr(cli.bound_engine, "gk_bound", never)
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / name
+        code, _, err = run_cli(["bounds", "--k-range", "5:204", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert str(out) in record["message"]
+        assert [p.name for p in tmp_path.rglob("*")] == ["a_dir"]  # nothing written
 
     @pytest.mark.parametrize("args,text", [(["bounds", "--k", "5", "--bogus", "1"],
                                             "--bogus"),
