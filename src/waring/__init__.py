@@ -6,15 +6,14 @@ from .aux_count import (CountResult, DistinctSums, ExponentFit, Lemma1Report,
                         lemma1_sides, rep_function, s_count, t_pq_count)
 from .bound_engine import (ExponentTable, GkResult, SigmaData, ThetaSchedule,
                            delta_bound, delta_iterate, gk_bound,
-                           lambda_closed, lambda_iterate, sigma_of_s,
-                           solve_sigma, theta_schedule)
+                           lambda_closed, lambda_iterate, solve_sigma,
+                           theta_schedule)
 from .differences import (BalanceCounts, BalanceGeometry, DiffChain,
                           IntPolynomial, Lemma7Terms, f_i_sum, forward_diff,
-                          lemma7_terms, measured_counts, model_counts,
-                          modified_diff, psi)
-from .errors import (BudgetError, CoprimalityError, DivisibilityError,
-                     DomainError, EmptyWindowError, RootBracketError,
-                     WaringError, WidthOverflowError)
+                          lemma7_terms, model_counts, modified_diff, psi)
+from .errors import (BudgetError, CoprimalityError, DomainError,
+                     EmptyWindowError, RootBracketError, WaringError,
+                     WidthOverflowError)
 from .expsum_arcs import (ArcDissection, ArcMomentResult, DifferenceSum,
                           FullInterval, Major, MomentFactor, MomentSpec,
                           PrimeSmooth, SamplingPolicy, SetPowers, SinglePrime,

@@ -169,12 +169,6 @@ def solve_sigma(k: int) -> SigmaData:
     )
 
 
-def sigma_of_s(k: int, s: int) -> float:
-    """Per-s saving (1 - (k-2)(k/(k+1))^(s-2)) / (4s); may be <= 0."""
-    _check_ks(k, s)
-    return (1 - (k - 2) * (k / (k + 1)) ** (s - 2)) / (4 * s)
-
-
 def theta_schedule(k: int, delta_prev: float) -> ThetaSchedule:
     """Balanced construction exponents
     theta_j = 1/(k+D) + (1/k - 1/(k+D)) * ((k-D)/(2k))^(k-j), D = delta_prev.

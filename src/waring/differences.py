@@ -1,10 +1,13 @@
 """Integer-polynomial difference operators and the balancing algebra.
 
-forward_diff(phi, t) is phi(x+t) - phi(x).  modified_diff steps by h*m and
-divides the result by m; every coefficient stays an exact integer because
-each term of phi(x+hm) - phi(x) carries at least one factor hm.  Chaining
-modified differences with moduli p_j^k against x^k yields the polynomials
-psi_i of degree k - i with leading coefficient k(k-1)...(k-i+1) * h_1...h_i.
+modified_diff(phi, h, m) is (phi(x + hm) - phi(x)) / m, built in one pass
+over the coefficients.  With t = hm, phi(x + t) - phi(x) has coefficient
+sum_{j>i} c_j C(j, i) t^(j-i) at x^i; every term has j > i, so it carries a
+factor t = hm, and cancelling m leaves sum_{j>i} c_j C(j, i) h t^(j-i-1).
+That is an exact integer with no division and no remainder.
+forward_diff(phi, t) is the case m = 1.  Chaining modified differences with
+moduli p_j^k against x^k yields the polynomials psi_i of degree k - i with
+leading coefficient k(k-1)...(k-i+1) * h_1...h_i.
 
 lemma7_terms evaluates the two competing terms U_i, V_i of the nested-sum
 estimate in log space; with power-law model counts and a balanced
@@ -14,10 +17,11 @@ construction-exponent schedule the two agree to rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .errors import BudgetError, DivisibilityError, DomainError
+from .errors import BudgetError, DomainError
 from .phases import unit_sum
 from .smooth_sets import is_prime
 
@@ -55,54 +59,44 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def shift(self, t: int) -> "IntPolynomial":
-        """phi(x + t), expanded exactly."""
-        out = [0] * len(self.coeffs)
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = 1  # binomial(j, i) * t^(j - i), built from i = j downward
-            for i in range(j, -1, -1):
-                out[i] += c * term
-                if i:
-                    term = term * t * i // (j - i + 1)
-        return IntPolynomial.make(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPolynomial.make(x - y for x, y in zip(a, b))
-
-    def divide_exact(self, m: int) -> "IntPolynomial":
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, m)
-            if r:
-                raise DivisibilityError(
-                    f"coefficient {c} not divisible by {m}")
-            out.append(q)
-        return IntPolynomial.make(out)
-
     def serialize(self) -> str:
         """Space-separated coefficient list 'c0 c1 ... cd'."""
         return " ".join(str(c) for c in self.coeffs)
 
-    @staticmethod
-    def parse(text: str) -> "IntPolynomial":
-        return IntPolynomial.make(int(t) for t in text.split())
+
+def _index(v) -> int:
+    """v as an exact int; a float or any other non-integer is refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{v!r} is not an integer") from None
 
 
 def forward_diff(phi: IntPolynomial, t: int) -> IntPolynomial:
     """phi(x + t) - phi(x)."""
-    return phi.shift(t) - phi
+    return modified_diff(phi, t, 1)
 
 
 def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
-    """(phi(x + h*m) - phi(x)) / m, exact by construction."""
+    """(phi(x + h*m) - phi(x)) / m in one pass over the coefficients.
+
+    With t = h*m, coefficient i is sum_{j>i} c_j * C(j, i) * h * t^(j-i-1).
+    Each term of phi(x + t) - phi(x) carries a factor t, so m cancels term
+    by term: the result is exact with no division and no remainder.
+    """
+    h, m = _index(h), _index(m)
     if m < 1 or h < 1:
         raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
-    return forward_diff(phi, h * m).divide_exact(m)
+    t = h * m
+    cs = phi.coeffs
+    out = []
+    for i in range(len(cs) - 1):
+        acc, step = 0, h  # step = h * t^(j-i-1)
+        for j in range(i + 1, len(cs)):
+            acc += cs[j] * math.comb(j, i) * step
+            step *= t
+        out.append(acc)
+    return IntPolynomial.make(out)
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,9 @@ class DiffChain:
 
 def psi(k: int, h, p) -> DiffChain:
     """Chain modified differences with steps h_j and moduli p_j^k over x^k."""
-    h = tuple(int(v) for v in h)
-    p = tuple(int(v) for v in p)
+    k = _index(k)
+    h = tuple(map(_index, h))
+    p = tuple(map(_index, p))
     if len(h) != len(p):
         raise DomainError(f"|h|={len(h)} and |p|={len(p)} must match")
     i = len(h)
@@ -156,8 +151,9 @@ def nested_ranges(k: int, H, windows, x_range: int) -> tuple:
     """(H, windows, term count) with H and windows as int tuples, checked as
     psi checks them (at most k levels, prime windows) and also: one window
     per step bound, at least one level, and every range nonempty."""
-    H = tuple(int(v) for v in H)
-    wins = tuple(tuple(int(p) for p in w) for w in windows)
+    k, x_range = _index(k), _index(x_range)
+    H = tuple(map(_index, H))
+    wins = tuple(tuple(map(_index, w)) for w in windows)
     if len(H) != len(wins):
         raise DomainError("H and windows must have equal length")
     if not H:
@@ -218,11 +214,10 @@ class BalanceGeometry:
 
 @dataclass(frozen=True)
 class BalanceCounts:
-    """log S_{s-1}(P_i) for levels i = 0..k, plus where they came from."""
+    """log S_{s-1}(P_i) for levels i = 0..k."""
 
     s: int
     log_S: tuple[float, ...]
-    source: str  # "model" or "measured"
 
 
 def model_counts(geometry: BalanceGeometry, s: int, delta_prev: float) -> BalanceCounts:
@@ -231,14 +226,7 @@ def model_counts(geometry: BalanceGeometry, s: int, delta_prev: float) -> Balanc
     return BalanceCounts(
         s=s,
         log_S=tuple(lam * math.log(p) for p in geometry.P_levels),
-        source="model",
     )
-
-
-def measured_counts(s: int, S_values) -> BalanceCounts:
-    """Counts taken from exact solution-count runs, one per level 0..k."""
-    return BalanceCounts(s=s, log_S=tuple(math.log(v) for v in S_values),
-                         source="measured")
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,6 @@ class Lemma7Terms:
     U: float
     V: float
     residual: float   # |log(U/V)|
-    inputs: dict
 
 
 def _log_u(i: int, c: BalanceCounts, g: BalanceGeometry,
@@ -300,13 +287,4 @@ def lemma7_terms(i: int, counts: BalanceCounts,
         U=math.exp(log_u_i),
         V=math.exp(log_v_i),
         residual=residual,
-        inputs={
-            "S_prev_i": math.exp(counts.log_S[i]),
-            "S_prev_next": math.exp(counts.log_S[i + 1]),
-            "Z_next": geometry.Z[i],
-            "Htilde_i": math.exp(log_ht[i]),
-            "Ztilde_i": math.exp(log_zt[i]),
-            "P": geometry.P,
-            "source": counts.source,
-        },
     )

@@ -40,9 +40,5 @@ class CoprimalityError(WaringError):
     """A set element violates a required coprimality condition."""
 
 
-class DivisibilityError(WaringError):
-    """Exact division failed where the algebra guarantees divisibility."""
-
-
 class RootBracketError(WaringError):
     """A bracketed root solve found no sign change, or failed to converge."""

@@ -85,20 +85,13 @@ class TestSolveSigma:
 
 
 class TestSigmaOfS:
-    def test_zero_at_seed(self):
-        assert be.sigma_of_s(3, 2) == 0.0
-
-    def test_hand_value(self):
-        assert be.sigma_of_s(3, 3) == pytest.approx(1 / 48)
-
     def test_integer_max_near_sigma_hat(self):
+        # per-s saving (1 - (k-2)(k/(k+1))^(s-2)) / (4s); its maximum over
+        # integer s sits next to the continuous optimum sigma_hat
         sig = be.solve_sigma(3)
-        best = max(be.sigma_of_s(3, s) for s in range(2, 60))
+        best = max((1 - (3 - 2) * (3 / 4) ** (s - 2)) / (4 * s)
+                   for s in range(2, 60))
         assert abs(best - sig.sigma_hat) < 0.05 * sig.sigma_hat
-
-    def test_negative_for_larger_k_small_s(self):
-        # numerator 1 - (k-2) < 0 at s = 2 for k >= 4; returned as-is
-        assert be.sigma_of_s(5, 2) < 0
 
 
 class TestThetaSchedule:

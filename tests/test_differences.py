@@ -4,21 +4,72 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waring import acceptance
 from waring import differences as df
 from waring.bound_engine import theta_schedule
-from waring.errors import BudgetError, DivisibilityError, DomainError
+from waring.errors import BudgetError, DomainError
 
 X3 = df.IntPolynomial.x_power(3)
 X2 = df.IntPolynomial.x_power(2)
 
 
+# The shift / subtract / exact-divide route that modified_diff replaced,
+# kept as the oracle for its one-pass formula.
+def shift(phi, t):
+    """phi(x + t), expanded exactly."""
+    out = [0] * len(phi.coeffs)
+    for j, c in enumerate(phi.coeffs):
+        if c == 0:
+            continue
+        term = 1  # binomial(j, i) * t^(j - i), built from i = j downward
+        for i in range(j, -1, -1):
+            out[i] += c * term
+            if i:
+                term = term * t * i // (j - i + 1)
+    return df.IntPolynomial.make(out)
+
+
+def subtract(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    xs = list(a.coeffs) + [0] * (n - len(a.coeffs))
+    ys = list(b.coeffs) + [0] * (n - len(b.coeffs))
+    return df.IntPolynomial.make(x - y for x, y in zip(xs, ys))
+
+
+def divide_exact(phi, m):
+    out = []
+    for c in phi.coeffs:
+        q, r = divmod(c, m)
+        assert r == 0, f"coefficient {c} not divisible by {m}"
+        out.append(q)
+    return df.IntPolynomial.make(out)
+
+
+def oracle_modified_diff(phi, h, m):
+    return divide_exact(subtract(shift(phi, h * m), phi), m)
+
+
+def nested_difference(k, hs, ms, x):
+    """sum over S of (-1)^(i-|S|) (x + sum_{j in S} h_j m_j)^k: the i-fold
+    difference of x^k with steps h_j m_j, written from its definition."""
+    i = len(hs)
+    acc = 0
+    for r in range(i + 1):
+        for subset in combinations(range(i), r):
+            step = sum(hs[j] * ms[j] for j in subset)
+            acc += (-1) ** (i - r) * (x + step) ** k
+    return acc
+
+
 class TestIntPolynomial:
     def test_shift_expansion(self):
-        assert X3.shift(2).coeffs == (8, 12, 6, 1)
+        assert shift(X3, 2).coeffs == (8, 12, 6, 1)
 
     def test_zero_degree_sentinel(self):
-        zero = X2 - X2
+        zero = df.forward_diff(df.IntPolynomial.x_power(0), 1)
         assert zero.degree == -1
         assert zero.coeffs == ()
 
@@ -29,7 +80,6 @@ class TestIntPolynomial:
     def test_serialize_round_trip(self):
         p = df.IntPolynomial.make([64, 24, 3])
         assert p.serialize() == "64 24 3"
-        assert df.IntPolynomial.parse("64 24 3") == p
 
 
 class TestForwardDiff:
@@ -75,10 +125,30 @@ class TestModifiedDiff:
             m = rng.randint(1, 3**k)
             df.modified_diff(df.IntPolynomial.x_power(k), h, m)  # must not raise
 
-    def test_divisibility_guard_is_exact(self):
-        # a polynomial built by hand that is NOT a difference image
-        with pytest.raises(DivisibilityError):
-            df.IntPolynomial.make([1, 2]).divide_exact(2)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+           st.integers(1, 5), st.integers(1, 50))
+    def test_matches_shift_subtract_divide(self, coeffs, h, m):
+        phi = df.IntPolynomial.make(coeffs)
+        assert df.modified_diff(phi, h, m) == oracle_modified_diff(phi, h, m)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_oracle_on_criterion_10_chains(self, seed, monkeypatch):
+        chains = []
+        real_psi = df.psi
+
+        def recording_psi(k, h, p):
+            chains.append(real_psi(k, h, p))
+            return chains[-1]
+
+        monkeypatch.setattr(df, "psi", recording_psi)
+        assert acceptance.criterion_10(seed=seed).passed
+        assert len(chains) == 5614
+        for c in chains:
+            poly = df.IntPolynomial.x_power(c.k)
+            for hj, mj in zip(c.h, c.moduli):
+                poly = oracle_modified_diff(poly, hj, mj)
+            assert c.result == poly, (c.k, c.h, c.p)
 
     def test_commutation(self):
         rng = random.Random(9)
@@ -125,6 +195,26 @@ class TestPsi:
             df.psi(3, [1], [4])
         with pytest.raises(DomainError):
             df.psi(2, [1, 1, 1], [2, 2, 2])
+        # non-integers are refused, not truncated
+        with pytest.raises(DomainError, match="1.5"):
+            df.psi(3, [1.5], [2])
+        with pytest.raises(DomainError, match="2.0"):
+            df.psi(2.0, [1], [2])
+        with pytest.raises(DomainError, match="8.0"):
+            df.modified_diff(X3, 1, 8.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_literal_nested_difference(self, data):
+        k = data.draw(st.integers(1, 8))
+        i = data.draw(st.integers(0, k))
+        h = data.draw(st.lists(st.integers(1, 5), min_size=i, max_size=i))
+        p = data.draw(st.lists(st.sampled_from([2, 3, 5, 7]),
+                               min_size=i, max_size=i))
+        x = data.draw(st.integers(-10**4, 10**4))
+        ms = [v**k for v in p]
+        lhs = df.psi(k, h, p).result.evaluate(x) * math.prod(ms)
+        assert lhs == nested_difference(k, h, ms, x)
 
 
 def oracle_nested_sum(alpha, q, k, H, windows, x_range):
@@ -140,13 +230,8 @@ def oracle_nested_sum(alpha, q, k, H, windows, x_range):
         for ps in product(*windows):
             ms = [p**k for p in ps]
             denom = math.prod(ms)
-            i = len(hs)
             for x in range(1, x_range + 1):
-                acc = 0
-                for r in range(i + 1):
-                    for subset in combinations(range(i), r):
-                        shift = sum(hs[j] * ms[j] for j in subset)
-                        acc += (-1) ** (i - r) * (x + shift) ** k
+                acc = nested_difference(k, hs, ms, x)
                 assert acc % denom == 0
                 phase = (qk * (acc // denom) * frac_alpha) % 1
                 total += cmath.exp(2j * cmath.pi * float(phase))
@@ -190,6 +275,8 @@ class TestFiSum:
             df.f_i_sum(0.1, 2, 3, [0], [(2,)], 4)
         with pytest.raises(DomainError):
             df.f_i_sum(0.1, 2, 3, [2], [(2,)], 0)
+        with pytest.raises(DomainError, match="2.5"):
+            df.f_i_sum(0.1, 2, 3, [2], [(2,)], 2.5)
 
 
 class TestLemma7:
@@ -223,15 +310,16 @@ class TestLemma7:
         assert df.lemma7_terms(k - 1, counts, geom).residual < 1e-9
 
     def test_measured_counts_accepted(self):
+        # counts that do not come from the power-law model
         geom = self.geometry(3, 1.0, P=1e4)
-        counts = df.measured_counts(3, [10, 20, 40, 80])
+        counts = df.BalanceCounts(
+            s=3, log_S=tuple(math.log(v) for v in (10, 20, 40, 80)))
         terms = df.lemma7_terms(0, counts, geom)
         assert terms.U > 0 and terms.V > 0
-        assert terms.inputs["source"] == "measured"
 
     def test_missing_inputs(self):
         geom = self.geometry(3, 1.0)
-        bad = df.BalanceCounts(s=3, log_S=(0.0, 1.0), source="measured")
+        bad = df.BalanceCounts(s=3, log_S=(0.0, 1.0))
         with pytest.raises(DomainError):
             df.lemma7_terms(0, bad, geom)
         counts = df.model_counts(geom, 3, 1.0)

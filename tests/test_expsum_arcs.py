@@ -148,10 +148,17 @@ class TestSpecs:
         lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((4,),), x_range=3),
         lambda: ea.DifferenceSum(q=2, k=2, H=(1, 1, 1),
                                  windows=((2,), (3,), (5,)), x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2.9,), windows=((2.5,),),
+                                 x_range=3),
+        lambda: ea.DifferenceSum(q=2, k=3, H=(2,), windows=((2,),),
+                                 x_range=2.5),
+        lambda: ea.DifferenceSum(q=2, k=3.0, H=(2,), windows=((2,),),
+                                 x_range=3),
     ], ids=["full_P0", "set_empty", "single_prime_empty", "no_primes",
             "no_elements", "unknown", "diff_no_level", "diff_zero_step",
             "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0",
-            "diff_not_prime", "diff_more_than_k_levels"])
+            "diff_not_prime", "diff_more_than_k_levels", "diff_float_step",
+            "diff_float_x_range", "diff_float_k"])
     @pytest.mark.parametrize("entry", [
         ea.frequencies, ea.term_count, ea.max_frequency,
         lambda spec: ea.eval_at(spec, 0.25),
