@@ -36,7 +36,10 @@ class IntPolynomial:
 
     @staticmethod
     def make(coeffs) -> "IntPolynomial":
-        cs = list(int(c) for c in coeffs)
+        try:
+            cs = list(map(operator.index, coeffs))
+        except TypeError:
+            raise DomainError(f"coefficients {coeffs!r} are not all integers") from None
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPolynomial(tuple(cs))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import differences
 from .errors import BudgetError, DomainError
-from .phases import unit_sum
+from .phases import exact_sum, unit_sum
 
 DEFAULT_GRID_BUDGET = 1 << 26
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -96,6 +96,8 @@ class DifferenceSum:
     x_range: int
 
     def __post_init__(self):
+        if differences._index(self.q) < 1:
+            raise DomainError(f"q must be positive, got {self.q}")
         differences.nested_ranges(self.k, self.H, self.windows, self.x_range)
 
 
@@ -121,13 +123,20 @@ def _product_form(spec) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def frequencies(spec: ExpSumSpec) -> tuple:
-    """All integer frequencies of the sum, with multiplicity."""
+def frequencies(spec: ExpSumSpec) -> np.ndarray | tuple:
+    """All integer frequencies of the sum, with multiplicity: a read-only
+    int64 array when every one fits, else a tuple of ints."""
     if isinstance(spec, DifferenceSum):
-        return differences.nested_frequencies(spec.q, spec.k, spec.H,
-                                              spec.windows, spec.x_range)
-    ms, xs = _product_form(spec)
-    return tuple((m * x)**spec.k for m in ms for x in xs)
+        freqs = differences.nested_frequencies(spec.q, spec.k, spec.H,
+                                               spec.windows, spec.x_range)
+    else:
+        ms, xs = _product_form(spec)
+        freqs = tuple((m * x)**spec.k for m in ms for x in xs)
+    arr = np.array(freqs)
+    if arr.dtype.kind != "i":   # past int64, numpy infers uint64, float or object
+        return freqs
+    arr.flags.writeable = False
+    return arr
 
 
 def term_count(spec: ExpSumSpec) -> int:
@@ -375,9 +384,11 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     Exact for the full-interval integral of the trigonometric polynomial,
     so counting moments land on integers to rounding.  Absolute-value
     moments must be expressed through conjugate pairs (|F|^(2s)); odd
-    absolute powers are not polynomials and are rejected.  The grid sum is
-    math.fsum, which is order-independent, so the result depends only on
-    the grid length and the factor products.
+    absolute powers are not polynomials and are rejected.  Both grid sums
+    (the real part and the imaginary part the realness check reads) are
+    phases.exact_sum: the exact sum of the grid values rounded once, the
+    double math.fsum gives, so the result depends only on the grid length
+    and the factor products, not on the order of the points.
     """
     if m.region != "full":
         raise DomainError("exact_moment requires region='full'")
@@ -389,7 +400,7 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         raise BudgetError(f"grid of {M} points exceeds budget {budget_grid}",
                           predicted=M, budget=budget_grid)
     def transform(freqs):
-        counts = np.bincount(np.array(freqs, dtype=np.int64) % M, minlength=M)
+        counts = np.bincount(np.asarray(freqs, dtype=np.int64) % M, minlength=M)
         return np.fft.ifft(counts) * M
 
     prod = _factor_product(m, M, transform)
@@ -397,8 +408,8 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         js = np.arange(M, dtype=np.int64)
         ph = (m.target % M) * js % M
         prod *= np.exp(-2j * np.pi * ph / M)
-    real = math.fsum(prod.real.tolist()) / M
-    imag = math.fsum(prod.imag.tolist()) / M
+    real = exact_sum(prod.real) / M
+    imag = exact_sum(prod.imag) / M
     if abs(imag) > 1e-6 * max(1.0, abs(real)):
         raise DomainError(f"moment is not real (imag mean {imag:.3e}); "
                           "check the factor specification")
@@ -440,7 +451,7 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
                 vals *= np.exp(-2j * np.pi * m.target * pts)
             if m.absolute:
                 vals = np.abs(vals)
-            acc += complex(math.fsum(vals.real), math.fsum(vals.imag)) * h
+            acc += complex(exact_sum(vals.real), exact_sum(vals.imag)) * h
         return acc
 
     fine = pass_at(samples_per_arc)

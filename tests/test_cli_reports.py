@@ -394,6 +394,20 @@ class TestArcs:
                     if r["moment_id"] in ("abs_f4_major", "abs_f4_minor"))
         assert abs(full - split) < 0.02 * full
 
+    def test_report_body_bytes_pinned(self, capsys, tmp_path):
+        # every line but the timestamp and the per-moment seconds; the grid
+        # and arc sums must give the bytes they gave under math.fsum
+        digest = "3e8a8e70d5e233673629058f38ea4d7e5198e8f69265612a7b9633434a028e45"
+        out = tmp_path / "a.json"
+        code, _, _ = run_cli(["arcs", "--k", "3", "--P", "40", "--format", "json",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = [line for line in lines
+                if not line.lstrip().startswith((b'"generated":', b'"seconds":'))]
+        assert len(body) == len(lines) - 5
+        assert hashlib.sha256(b"".join(body)).hexdigest() == digest
+
 
 class TestVerify:
     def test_verify_reports_known_red_criterion(self, capsys, tmp_path):

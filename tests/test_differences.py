@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,16 @@ class TestIntPolynomial:
     def test_serialize_round_trip(self):
         p = df.IntPolynomial.make([64, 24, 3])
         assert p.serialize() == "64 24 3"
+
+    @pytest.mark.parametrize("coeffs", [[1.5, 2.7], [1, 2.0], [3, "4"]])
+    def test_make_refuses_non_integral_coefficients(self, coeffs):
+        with pytest.raises(DomainError):
+            df.IntPolynomial.make(coeffs)
+
+    def test_make_keeps_integer_types_exact(self):
+        p = df.IntPolynomial.make([np.int64(3), 1 << 70, 0])
+        assert p.coeffs == (3, 1 << 70)
+        assert all(type(c) is int for c in p.coeffs)
 
 
 class TestForwardDiff:

@@ -66,9 +66,24 @@ class TestEval:
         assert abs(ea.eval_at(spec, a) - brute) < 1e-12
 
 
+    # the 73,000-term sum of the moments benchmark, pinned by float.hex
+    # before its cos/sin sums moved to phases.exact_sum; the last alpha
+    # has 2^e > 2^64 and takes the big-integer loop
+    @pytest.mark.parametrize("alpha,real,imag", [
+        (0.1, "-0x1.09bf3a3999f34p+5", "0x1.8e5042de9d5a9p-1"),
+        (0.37158203125, "0x1.1b908a986a9e6p+12", "-0x1.db5961b4fd850p+5"),
+        (0.7071067811865476, "-0x1.a8a7ee003ea2fp+8", "0x1.5905d8ef4ef11p+5"),
+        (0.9999, "0x1.17287fcc94f66p+8", "0x1.0509c85a7d02ep+8"),
+        (2.0**-20 * 0.3, "-0x1.1ce62631cc359p+7", "-0x1.630950258a852p+8"),
+    ])
+    def test_prime_smooth_sum_bytes_pinned(self, alpha, real, imag):
+        val = ea.eval_at(ea.PrimeSmooth.make(3, 1e6), alpha)
+        assert (val.real.hex(), val.imag.hex()) == (real, imag)
+
+
 class TestSpecs:
     def test_frequencies_full(self):
-        assert ea.frequencies(ea.FullInterval(P=4, k=2)) == (1, 4, 9, 16)
+        assert ea.frequencies(ea.FullInterval(P=4, k=2)).tolist() == [1, 4, 9, 16]
         assert ea.max_frequency(ea.FullInterval(P=4, k=2)) == 16
 
     def test_prime_smooth_window(self):
@@ -128,7 +143,7 @@ class TestSpecs:
           for h in (1, 2) for p in (2, 3) for x in (1, 2, 3)]),
     ], ids=["full", "set", "set_k2", "single_prime", "prime_smooth", "difference"])
     def test_frequency_table(self, spec, freqs):
-        assert ea.frequencies(spec) == tuple(freqs)
+        assert ea.frequencies(spec).tolist() == freqs
         assert ea.term_count(spec) == len(ea.frequencies(spec))
         assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
 
@@ -154,11 +169,17 @@ class TestSpecs:
                                  x_range=2.5),
         lambda: ea.DifferenceSum(q=2, k=3.0, H=(2,), windows=((2,),),
                                  x_range=3),
+        lambda: ea.DifferenceSum(q=2.5, k=3, H=(2,), windows=((2,),),
+                                 x_range=3),
+        lambda: ea.DifferenceSum(q=0, k=3, H=(2,), windows=((2,),), x_range=3),
+        lambda: ea.DifferenceSum(q=-2, k=3, H=(2,), windows=((2,),),
+                                 x_range=3),
     ], ids=["full_P0", "set_empty", "single_prime_empty", "no_primes",
             "no_elements", "unknown", "diff_no_level", "diff_zero_step",
             "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0",
             "diff_not_prime", "diff_more_than_k_levels", "diff_float_step",
-            "diff_float_x_range", "diff_float_k"])
+            "diff_float_x_range", "diff_float_k", "diff_float_q",
+            "diff_zero_q", "diff_negative_q"])
     @pytest.mark.parametrize("entry", [
         ea.frequencies, ea.term_count, ea.max_frequency,
         lambda spec: ea.eval_at(spec, 0.25),
@@ -324,6 +345,17 @@ class TestExactMoment:
                      ea.MomentFactor(ea.FullInterval(P=8, k=3), 1, True)),
             absolute=False)
         assert round(ea.exact_moment(m)) == 2 and len(calls) == 3
+
+    # float.hex of the grid mean, taken before the grid sums moved from
+    # math.fsum to phases.exact_sum; both grids are past its fsum crossover
+    @pytest.mark.parametrize("P,k,power,pinned", [
+        (40, 3, 4, "0x1.94ffffffffffep+11"),
+        (300, 2, 6, "0x1.97cee92fffffep+32"),
+    ])
+    def test_grid_mean_bytes_pinned(self, P, k, power, pinned):
+        m = ea.abs_power(ea.FullInterval(P=P, k=k), power)
+        assert power * P**k + 1 > 1024      # grid points
+        assert ea.exact_moment(m).hex() == pinned
 
     def test_smooth_set_moment(self):
         elements = (2, 3, 5, 7)
