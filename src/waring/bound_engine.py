@@ -4,14 +4,16 @@ Everything here is closed-form or a one-dimensional iteration/scan, in double
 precision.  The two headline calculators:
 
   * gk_bound(k, "T1"): minimize 7 + 2v + 2*ceil(C * r^v) over integer v,
-    where C = (k-2)/(2*sigma_hat) and r = k/(k+1); the scan stops at the
-    first v with 7 + 2v above the best bound so far.
+    where C = (k-2)/(2*sigma_hat) and r = k/(k+1).
   * gk_bound(k, "T2"): evaluate 3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)) at
     the prescribed u = 1 + ceil((k+1)/2 * log(1/sigma_hat)), with Delta(u)
     taken both from the closed decay bound 2k*exp(-2(u-1)/(k+1)) (headline)
-    and from the exact coupled iteration (recorded alongside).  A scan of
-    each over u near the prescribed one stops at the first u with 3 + 2u at
-    or above its best bound so far.
+    and from the exact coupled iteration (recorded alongside), and minimize
+    the same value over u by each Delta.
+
+Each scan runs outward from the optimum of its value with the ceil dropped,
+a convex lower bound, and stops each side once that bound passes the best
+value so far: O(sqrt k) points per scan.
 
 sigma_hat comes from solve_sigma: the positive root of (1+x)*beta = e^x with
 beta = (k-2)(k+1)^2/k^2 feeds sigma_hat = log(1+1/k)/(4(1+root)).
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import DomainError, RootBracketError
 
@@ -194,20 +197,25 @@ def delta_bound(k: int, s: int) -> float:
     return 2 * k * math.exp(-2 * (s - 1) / (k + 1))
 
 
-def _delta_steps(k: int, s_max: int, full: bool) -> ExponentTable:
-    deltas = [float(k - 2)]
-    thetas_used = [math.nan]
-    for _ in range(3, s_max + 1):
-        d = deltas[-1]
+def _coupled_steps(k: int, full: bool = False):
+    """(theta used, Delta(s)) for s = 2, 3, ... of the coupled iteration,
+    without end; the seed Delta(2) = k - 2 comes with theta NaN."""
+    d = float(k - 2)
+    yield math.nan, d
+    while True:
         theta = 1.0 / (k + d)
         if full:
             theta += (1.0 / k - 1.0 / (k + d)) * ((k - d) / (2 * k)) ** (k - 1)
-        deltas.append((d + k * theta - 1) / (1 + theta))
-        thetas_used.append(theta)
+        d = (d + k * theta - 1) / (1 + theta)
+        yield theta, d
+
+
+def _delta_steps(k: int, s_max: int, full: bool) -> ExponentTable:
+    thetas_used, deltas = zip(*islice(_coupled_steps(k, full), s_max - 1))
     lambdas = tuple(d + (2 * s - k) for s, d in enumerate(deltas, start=2))
     return ExponentTable(k=k, policy="coupled-full" if full else "coupled",
-                         theta=None, lambdas=lambdas, deltas=tuple(deltas),
-                         thetas_used=tuple(thetas_used))
+                         theta=None, lambdas=lambdas, deltas=deltas,
+                         thetas_used=thetas_used)
 
 
 def delta_iterate(k: int, s_max: int) -> ExponentTable:
@@ -222,44 +230,64 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     return _delta_steps(k, s_max, full=False)
 
 
-def _t2_value(k: int, u: int, delta_u: float, sig: SigmaData) -> tuple[int, int]:
-    ceil_term = math.ceil(delta_u / (2 * sig.sigma_hat))
-    return 3 + 2 * u + 2 * ceil_term, ceil_term
+def _scan_outward(c: int, arg_at, start: int, lo: int, hi: int,
+                  tie=lambda x: 0) -> tuple:
+    """Least (c + 2x + 2*ceil(arg), tie(x), x, arg), arg = arg_at(x), over
+    integer x in [lo, hi], scanning right from start (clamped), then left.
+
+    c + 2x + 2*arg, from the float the ceil sees, is convex in x and bounds
+    the value below; once it passes the best value by more than 1 (a margin
+    for rounding), every x further out on that side is worse still, so the
+    side stops there and no minimiser or tie is missed.
+    """
+    start = min(max(start, lo), hi)
+    best = (math.inf,)
+    for side in (range(start, hi + 1), range(start - 1, lo - 1, -1)):
+        for x in side:
+            arg = arg_at(x)
+            if c + 2 * x + 2 * arg > best[0] + 1:
+                break
+            best = min(best, (c + 2 * x + 2 * math.ceil(arg), tie(x), x, arg))
+    return best
 
 
 def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     """Upper bound for the least number of k-th powers, by either route.
 
-    T1 scans v upward from 0 and keeps the minimizing value (ties resolved
-    toward the continuous optimum).  The ceil term is never negative, so the
-    scan stops at the first v with 7 + 2v > best: every later v is worse and
-    every tied minimizer has been seen.  T2 uses the prescribed u and the
-    closed Delta bound for the headline number; the exact-iteration variant
-    and the first strict minimum of a scan over u, by either Delta, are
-    recorded in `choice`.  Both Deltas are positive (the iteration maps D > 0
-    to D(k+D-1)/(k+D+1)), so each scan stops at the first u with
-    3 + 2u >= best.  `scan_hi` (scan_factor times the continuous optimum)
-    and `scan_window` (+-3k around u at the default scan_factor) are the
-    caps of the scans, not where they stopped.
+    T1 keeps the least 7 + 2v + 2*ceil(C * r^v) over v in [0, scan_hi],
+    ties resolved toward the continuous optimum vstar.  T2 uses the
+    prescribed u and the closed Delta bound for the headline number; the
+    exact-iteration variant and the least u minimising
+    3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)) in `scan_window`, by either
+    Delta, are recorded in `choice`.  Each scan runs outward from the
+    minimiser of its value with the ceil dropped: vstar for T1,
+    1 + (k+1)/2 * log(2k/((k+1)*sigma_hat)) for the closed Delta, and for
+    the exact one the s where the flow dDelta/ds = -2*Delta/(k+Delta+1),
+    which the iteration follows, reaches sigma_hat*(k+1)/(1-sigma_hat).
+    The exact lower bound is convex since Delta(s+1) =
+    Delta(k+Delta-1)/(k+Delta+1) falls, so its steps
+    2 - 2*Delta/((k+Delta+1)*sigma_hat) rise; Delta is iterated only as far
+    as the scan reads.  `scan_hi` (scan_factor times vstar) and
+    `scan_window` (+-3k around u at the default scan_factor) are still the
+    caps of the scans, not where they stopped.  scan_factor must be finite
+    and positive.
     """
     thm = {"T1": "T1", "T2": "T2", 1: "T1", 2: "T2", "1": "T1", "2": "T2"}.get(theorem)
     if thm is None:
         raise DomainError(f"theorem must be 1 or 2, got {theorem!r}")
+    if not 0 < scan_factor < math.inf:
+        raise DomainError(
+            f"scan_factor must be finite and positive, got {scan_factor!r}")
     sig = solve_sigma(k)
     caveat = k < SMALL_K_CUTOFF
 
     if thm == "T1":
         vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
         v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
-        best = (math.inf,)  # (bound, |v - vstar|, v, ceil_arg, ceil_term)
-        for v in range(v_hi + 1):
-            if 7 + 2 * v > best[0]:  # every later v is worse still
-                break
-            arg = (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v
-            ceil_term = math.ceil(arg)
-            best = min(best, (7 + 2 * v + 2 * ceil_term, abs(v - vstar), v,
-                              arg, ceil_term))
-        best_bound, _, v_opt, arg, ceil_term = best
+        best_bound, _, v_opt, arg = _scan_outward(
+            7, lambda v: (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v,
+            round(vstar), 0, v_hi, tie=lambda v: abs(v - vstar))
+        ceil_term = math.ceil(arg)
         return GkResult(
             k=k, theorem="T1", bound=best_bound,
             choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
@@ -273,32 +301,34 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
     scan_lo, scan_hi = max(2, u - math.ceil(scan_factor / 4.0 * 3 * k)), \
         u + math.ceil(scan_factor / 4.0 * 3 * k)
-    table = delta_iterate(k, scan_hi)
+    steps, exact = _coupled_steps(k), []   # exact[s - 2] = (theta, Delta(s))
+
+    def exact_delta(s: int) -> float:
+        if len(exact) < s - 1:   # iterate only as far as read
+            exact.extend(islice(steps, s - 1 - len(exact)))
+        return exact[s - 2][1]
+
     delta_u_closed = delta_bound(k, u)
-    delta_u_exact = table.delta_at(u)
-    bound_closed, ceil_term = _t2_value(k, u, delta_u_closed, sig)
-    bound_exact, _ = _t2_value(k, u, delta_u_exact, sig)
-
-    def scan(delta_of_u) -> tuple[int, int]:
-        best = (None, math.inf)
-        for uu in range(scan_lo, scan_hi + 1):
-            if 3 + 2 * uu >= best[1]:  # no later uu can improve strictly
-                break
-            b, _ = _t2_value(k, uu, delta_of_u(uu), sig)
-            if b < best[1]:
-                best = (uu, b)
-        return best
-
-    scan_closed = scan(lambda uu: delta_bound(k, uu))
-    scan_exact = scan(lambda uu: table.deltas[uu - 2])
+    delta_u_exact = exact_delta(u)
+    ceil_term = math.ceil(delta_u_closed / (2 * sig.sigma_hat))
+    bound_exact = 3 + 2 * u + 2 * math.ceil(delta_u_exact / (2 * sig.sigma_hat))
+    closed_opt = 1 + (k + 1) / 2 * math.log(2 * k / ((k + 1) * sig.sigma_hat))
+    d_opt = sig.sigma_hat * (k + 1) / (1 - sig.sigma_hat)
+    exact_opt = 2 + ((k + 1) * math.log((k - 2) / d_opt) + k - 2 - d_opt) / 2
+    scan_closed = _scan_outward(
+        3, lambda uu: delta_bound(k, uu) / (2 * sig.sigma_hat),
+        round(closed_opt), scan_lo, scan_hi)
+    scan_exact = _scan_outward(
+        3, lambda uu: exact_delta(uu) / (2 * sig.sigma_hat),
+        round(exact_opt), scan_lo, scan_hi)
     return GkResult(
-        k=k, theorem="T2", bound=bound_closed,
+        k=k, theorem="T2", bound=3 + 2 * u + 2 * ceil_term,
         choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,
                 "delta_u_bound": delta_u_closed, "delta_u_exact": delta_u_exact,
                 "bound_exact_delta": bound_exact,
-                "scan_u_best": scan_closed[0], "scan_bound_best": scan_closed[1],
-                "scan_exact_u_best": scan_exact[0],
-                "scan_exact_bound_best": scan_exact[1],
+                "scan_u_best": scan_closed[2], "scan_bound_best": scan_closed[0],
+                "scan_exact_u_best": scan_exact[2],
+                "scan_exact_bound_best": scan_exact[0],
                 "scan_window": (scan_lo, scan_hi)},
         continuous_optimum=u_cont,
         asymptote=k * math.log(k * math.log(k)),

@@ -150,11 +150,14 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     return tuple(out)
 
 
-def nested_ranges(k: int, H, windows, x_range: int) -> tuple:
+def nested_ranges(q: int, k: int, H, windows, x_range: int) -> tuple:
     """(H, windows, term count) with H and windows as int tuples, checked as
-    psi checks them (at most k levels, prime windows) and also: one window
-    per step bound, at least one level, and every range nonempty."""
-    k, x_range = _index(k), _index(x_range)
+    psi checks them (at most k levels, prime windows) and also: a positive
+    int q, one window per step bound, at least one level, and every range
+    nonempty."""
+    q, k, x_range = _index(q), _index(k), _index(x_range)
+    if q < 1:
+        raise DomainError(f"q must be positive, got {q}")
     H = tuple(map(_index, H))
     wins = tuple(tuple(map(_index, w)) for w in windows)
     if len(H) != len(wins):
@@ -179,7 +182,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     x ranges over [1, x_range].  Exact phase reduction keeps the result
     deterministic; the term count is checked against the budget first.
     """
-    H, wins, terms = nested_ranges(k, H, windows, x_range)
+    H, wins, terms = nested_ranges(q, k, H, windows, x_range)
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed budget {budget}",
                           predicted=terms, budget=budget)

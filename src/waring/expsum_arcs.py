@@ -96,9 +96,8 @@ class DifferenceSum:
     x_range: int
 
     def __post_init__(self):
-        if differences._index(self.q) < 1:
-            raise DomainError(f"q must be positive, got {self.q}")
-        differences.nested_ranges(self.k, self.H, self.windows, self.x_range)
+        differences.nested_ranges(self.q, self.k, self.H, self.windows,
+                                  self.x_range)
 
 
 ExpSumSpec = Union[FullInterval, SetPowers, SinglePrime, PrimeSmooth,
@@ -141,7 +140,7 @@ def frequencies(spec: ExpSumSpec) -> np.ndarray | tuple:
 
 def term_count(spec: ExpSumSpec) -> int:
     if isinstance(spec, DifferenceSum):
-        return differences.nested_ranges(spec.k, spec.H, spec.windows,
+        return differences.nested_ranges(spec.q, spec.k, spec.H, spec.windows,
                                          spec.x_range)[2]
     ms, xs = _product_form(spec)
     return len(ms) * len(xs)

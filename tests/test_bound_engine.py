@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring import bound_engine as be
 from waring.errors import DomainError, RootBracketError
@@ -249,6 +251,14 @@ class TestGkBound:
         with pytest.raises(DomainError):
             be.gk_bound(10, "T3")
 
+    @pytest.mark.parametrize("theorem", ["T1", "T2"])
+    @pytest.mark.parametrize("scan_factor", [math.nan, math.inf, -math.inf,
+                                             -1.0, 0.0],
+                             ids=["nan", "inf", "minus_inf", "negative", "zero"])
+    def test_scan_factor_must_be_finite_and_positive(self, theorem, scan_factor):
+        with pytest.raises(DomainError, match="scan_factor"):
+            be.gk_bound(20, theorem, scan_factor)
+
 
 def _full_scan_gk(k, theorem, scan_factor):
     """The bound scans as they were before they stopped early: every v in
@@ -339,6 +349,34 @@ class TestPrunedScans:
             lo, hi = be.gk_bound(k, "T2", 8).choice["scan_window"]
             floor = -2 * be.solve_sigma(k).sigma_hat
             assert min(be.delta_iterate(k, hi).deltas[lo - 2:]) > floor, k
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(3, 3000), scan_factor=st.floats(0.05, 10))
+    @pytest.mark.parametrize("theorem", ["T1", "T2"])
+    def test_equal_to_full_scan_any_caps(self, theorem, k, scan_factor):
+        # small scan factors put the caps below the optimum
+        assert be.gk_bound(k, theorem, scan_factor) == \
+            _full_scan_gk(k, theorem, scan_factor)
+
+    @pytest.mark.parametrize("k", [1000, 5000])
+    def test_scans_read_order_sqrt_k_points(self, k, monkeypatch):
+        # a scan that walks from its cap reads order k points or more
+        reads = []
+
+        def counted(c, arg_at, *args, **kwargs):
+            reads.append(0)
+
+            def arg(x):
+                reads[-1] += 1
+                return arg_at(x)
+            return scan(c, arg, *args, **kwargs)
+
+        scan = be._scan_outward
+        monkeypatch.setattr(be, "_scan_outward", counted)
+        be.gk_bound(k, "T1")
+        be.gk_bound(k, "T2")
+        assert len(reads) == 3
+        assert max(reads) <= 6 * math.sqrt(k), reads
 
     def test_t2_excess_over_log_shape_falls(self):
         # refs [4] and [8] give G(k) <= k(log k + log log k + O(1)); T2's

@@ -89,6 +89,19 @@ class TestBounds:
         assert len(body) == len(lines) - 1
         assert hashlib.sha256(b"".join(body)).hexdigest() == digest
 
+    def test_benchmark_range_body_bytes_pinned(self, capsys, tmp_path):
+        # the k range the bounds benchmark runs; the hash is that of the body
+        # the scans wrote when they still walked up from their low caps
+        out = tmp_path / "b.csv"
+        code, _, _ = run_cli(["bounds", "--k-range", "5:204", "--out", str(out)],
+                             capsys)
+        assert code == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = [line for line in lines if not line.startswith(b"# generated:")]
+        assert len(body) == len(lines) - 1
+        assert hashlib.sha256(b"".join(body)).hexdigest() == \
+            "f1c789e6d71fbd2aa158f1feb4379e4f2879f0d1dcce248c4846789210bb827f"
+
 
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):

@@ -289,6 +289,15 @@ class TestFiSum:
         with pytest.raises(DomainError, match="2.5"):
             df.f_i_sum(0.1, 2, 3, [2], [(2,)], 2.5)
 
+    @pytest.mark.parametrize("q,text", [(2.5, "2.5 is not an integer"),
+                                        (0, "q must be positive, got 0"),
+                                        (-2, "q must be positive, got -2")],
+                             ids=["float", "zero", "negative"])
+    def test_q_validation(self, q, text):
+        # the check DifferenceSum runs when it is built, with its message
+        with pytest.raises(DomainError, match=text):
+            df.f_i_sum(0.1, q, 3, [2], [(2,)], 3)
+
 
 class TestLemma7:
     def geometry(self, k, delta, P=1e6):
