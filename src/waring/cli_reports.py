@@ -7,7 +7,13 @@ carries the same rows with the header metadata inline.  Exit codes: 0 ok,
 
 Reports start with a '# generated:' timestamp line; everything after it is
 deterministic for a fixed config and seed (timing columns excepted, where an
-interface prescribes them).
+interface prescribes them).  A CSV row is rendered by a str.format template
+of its shape (its tuple of keys) that takes str() of each value, as
+csv.writer does, and leaves the columns the shape lacks empty.  The line is
+kept if csv.writer would write the same: one comma fewer than there are
+columns, no '"', '\\r', '\\n' or 'None' (csv writes None as ''), and not empty
+(csv writes a lone empty cell as '""').  Other rows, and the header, go
+through csv.writer, so the bodies are byte for byte csv.writer's.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ class RunConfig:
     P: tuple[float, ...] = _option(_list(_positive(float)), (),
                                    "comma-separated list")
     theta: float = _option(float, 0.4)
-    s: int | None = _option(int)
+    s: int | None = _option(_positive(int))
     budget_ops: int = _option(_positive(int), aux_count.DEFAULT_BUDGET)
     budget_grid: int = _option(_positive(int), expsum_arcs.DEFAULT_GRID_BUDGET)
     seed: int = _option(int, 0)
@@ -196,10 +202,20 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
         buf.write(f"# generated: {_timestamp()}\n")
         for key, val in meta.items():
             buf.write(f"# {key}: {val}\n")
-        cols = list(dict.fromkeys(c for row in rows for c in row))
+        templates = dict.fromkeys(tuple(row) for row in rows)   # row shapes
+        cols = list(dict.fromkeys(c for shape in templates for c in shape))
+        for shape in templates:
+            templates[shape] = ",".join(
+                "{%d!s}" % shape.index(c) if c in shape else "" for c in cols)
         writer = csv.writer(buf)
         writer.writerow(cols)
-        writer.writerows([row.get(c, "") for c in cols] for row in rows)
+        for row in rows:
+            line = templates[tuple(row)].format(*row.values())
+            if (line and line.count(",") == len(cols) - 1 and "None" not in line
+                    and '"' not in line and "\r" not in line and "\n" not in line):
+                buf.write(line + "\r\n")
+            else:
+                writer.writerow([row.get(c, "") for c in cols])
         text = buf.getvalue()
     if cfg.out:
         _write(cfg.out, text)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waring import bound_engine as be
@@ -333,6 +333,22 @@ def _full_scan_gk(k, theorem, scan_factor):
     )
 
 
+@st.composite
+def _scan_cases(draw):
+    """(c, arg, start, lo, hi, ties) for _scan_outward over x in 0..len(arg)-1.
+    arg is convex: its steps only rise, and they are multiples of 1/16, so
+    every sum is exact and ceil sees exact integers too."""
+    steps = sorted(draw(st.lists(st.integers(-96, 96), max_size=40)))
+    arg = [draw(st.integers(-160, 160)) / 16]
+    for step in steps:
+        arg.append(arg[-1] + step / 16)
+    n = len(arg)
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    return (draw(st.integers(-10, 10)), arg, draw(st.integers(-3, n + 2)), lo,
+            hi, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
 class TestPrunedScans:
     @pytest.mark.parametrize("scan_factor", [1, 4, 8])
     @pytest.mark.parametrize("theorem", ["T1", "T2"])
@@ -357,6 +373,18 @@ class TestPrunedScans:
         # small scan factors put the caps below the optimum
         assert be.gk_bound(k, theorem, scan_factor) == \
             _full_scan_gk(k, theorem, scan_factor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases())
+    # the point after the start wins (bound 10 against 12) although its
+    # lower bound 9.8 is above 12 - 3, so a stop margin 4 below +1 fails
+    @example((0, [5.01, 3.9, 3.9, 4.9, 5.9], 0, 0, 4, [0] * 5))
+    def test_scan_outward_equals_brute_force(self, case):
+        c, arg, start, lo, hi, ties = case
+        got = be._scan_outward(c, arg.__getitem__, start, lo, hi,
+                               tie=ties.__getitem__)
+        assert got == min((c + 2 * x + 2 * math.ceil(arg[x]), ties[x], x, arg[x])
+                          for x in range(lo, hi + 1))
 
     @pytest.mark.parametrize("k", [1000, 5000])
     def test_scans_read_order_sqrt_k_points(self, k, monkeypatch):

@@ -3,8 +3,13 @@ import csv
 import hashlib
 import io
 import json
+import math
+from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waring import cli_reports as cli
 
@@ -13,6 +18,31 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_body(args, capsys, tmp_path):
+    """The bytes of a report after its '# generated:' line."""
+    out = tmp_path / "report"
+    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    body = [line for line in lines
+            if not line.lstrip().startswith((b"# generated:", b'"generated":'))]
+    assert len(body) == len(lines) - 1
+    return b"".join(body)
+
+
+def body_digest(args, capsys, tmp_path):
+    return hashlib.sha256(report_body(args, capsys, tmp_path)).hexdigest()
+
+
+def rows_without_seconds(args, capsys, tmp_path):
+    text = report_body(args, capsys, tmp_path).decode()
+    rows = list(csv.DictReader(
+        line for line in text.splitlines() if not line.startswith("#")))
+    for row in rows:
+        del row["seconds"]
+    return rows
 
 
 COMMON_FLAGS = {"-h", "--help", "--config", "--k", "--k-range", "--theorem",
@@ -79,28 +109,59 @@ class TestBounds:
     def test_report_body_bytes_pinned(self, capsys, tmp_path, fmt, digest):
         # every line but the timestamp; a faster gk_bound or _emit must
         # leave these bytes as they are
-        out = tmp_path / f"b.{fmt}"
-        code, _, _ = run_cli(["bounds", "--k-range", "3:40", "--format", fmt,
-                              "--out", str(out)], capsys)
-        assert code == 0
-        lines = out.read_bytes().splitlines(keepends=True)
-        body = [line for line in lines
-                if not line.lstrip().startswith((b"# generated:", b'"generated":'))]
-        assert len(body) == len(lines) - 1
-        assert hashlib.sha256(b"".join(body)).hexdigest() == digest
+        assert body_digest(["bounds", "--k-range", "3:40", "--format", fmt],
+                           capsys, tmp_path) == digest
 
     def test_benchmark_range_body_bytes_pinned(self, capsys, tmp_path):
         # the k range the bounds benchmark runs; the hash is that of the body
         # the scans wrote when they still walked up from their low caps
-        out = tmp_path / "b.csv"
-        code, _, _ = run_cli(["bounds", "--k-range", "5:204", "--out", str(out)],
-                             capsys)
-        assert code == 0
-        lines = out.read_bytes().splitlines(keepends=True)
-        body = [line for line in lines if not line.startswith(b"# generated:")]
-        assert len(body) == len(lines) - 1
-        assert hashlib.sha256(b"".join(body)).hexdigest() == \
+        assert body_digest(["bounds", "--k-range", "5:204"], capsys, tmp_path) == \
             "f1c789e6d71fbd2aa158f1feb4379e4f2879f0d1dcce248c4846789210bb827f"
+
+    @pytest.mark.parametrize("args,digest", [
+        (["--k-range", "10:11", "--theorem", "1", "--s", "5"],
+         "4c101c4c28566b578494aa396e58f893c65f58f15626be6032b4fa7f90e275ec"),
+        (["--k-range", "3:40", "--paper-faithful"],
+         "152a2c0dbb8e747d69ae3b041d2f214cf2c196a862493be4785ade88f9b91378"),
+    ])
+    def test_more_body_bytes_pinned(self, capsys, tmp_path, args, digest):
+        # hashes of the bodies written through csv.writer alone
+        assert body_digest(["bounds"] + args, capsys, tmp_path) == digest
+
+
+_CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}0 aNone\x00\u00e9')),
+                     max_size=6)
+_CELLS = st.one_of(
+    st.none(), st.just(""), _CELL_TEXT, st.booleans(),
+    st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 2**64 + 1]),
+    st.tuples(st.integers(), _CELL_TEXT),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+_ROWS = st.lists(st.dictionaries(st.sampled_from(["k", "s", "P", "{}", "a,b"]),
+                                 _CELLS, max_size=5), max_size=8)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS)
+    @example([{"k": ""}])
+    @example([{"k": ""}, {"k": None}, {}])
+    @example([{"k": 1, "s": 2.5}, {"s": "x", "k": None}, {"P": (1,)}])
+    @example([])
+    def test_body_is_what_csv_writer_writes(self, rows):
+        # whatever the template route takes, the bytes are csv.writer's
+        with redirect_stdout(io.StringIO()) as out:
+            cli._emit(cli.RunConfig(command="bounds"), {}, rows)
+        generated, flags, body = out.getvalue().split("\n", 2)
+        assert generated.startswith("# generated: ")
+        assert flags.startswith("# flags: ")
+        cols = list(dict.fromkeys(c for row in rows for c in row))
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(cols)
+        writer.writerows([row.get(c, "") for c in cols] for row in rows)
+        assert body == want.getvalue()
 
 
 class TestConfigHandling:
@@ -198,7 +259,16 @@ class TestConfigHandling:
                                       ["count", "--k", "3", "--P", "inf"],
                                       ["diff", "--k", "3", "--h-max", "0"],
                                       ["count", "--k", "3", "--P", "10",
-                                       "--tpq", "0,5"]])
+                                       "--tpq", "0,5"],
+                                      # --s 0 used to mean the default s
+                                      ["bounds", "--k", "10", "--s", "0"],
+                                      ["bounds", "--k", "10", "--s", "-1"],
+                                      ["count", "--k", "3", "--P", "20",
+                                       "--s", "0"],
+                                      ["diff", "--k", "3", "--delta", "1.0",
+                                       "--s", "0"],
+                                      ["diff", "--k", "3", "--delta", "1.0",
+                                       "--s", "-1"]])
     def test_out_of_range_value_is_config_error(self, capsys, args):
         code, out, err = run_cli(args, capsys)
         assert code == 2
@@ -333,6 +403,31 @@ class TestCount:
             outs.append(reader)
         assert outs[0] == outs[1]
 
+    def test_rows_pinned_without_seconds(self, capsys, tmp_path):
+        rows = rows_without_seconds(["count", "--k", "3", "--s", "2",
+                                     "--P", "20,40,80", "--tpq", "2,5"],
+                                    capsys, tmp_path)
+        empty = {"|X|": "", "diag_lb": "", "slope": "", "intercept": "",
+                 "p": "", "q": ""}
+
+        def row(P, S, provenance, **cells):
+            return {**empty, "k": "3", "s": "2", "P": P, "S": S,
+                    "provenance": provenance, **cells}
+        assert rows == [
+            row("20.0", "796", "aux_count.s_count", **{"|X|": "20"},
+                diag_lb="400"),
+            row("40.0", "3240", "aux_count.s_count", **{"|X|": "40"},
+                diag_lb="1600"),
+            row("80.0", "12968", "aux_count.s_count", **{"|X|": "80"},
+                diag_lb="6400"),
+            row("fit", "", "aux_count.exponent_fit", slope="2.013021877486946",
+                intercept="0.6519275748053008"),
+            row("20.0", "100", "aux_count.t_pq_count", **{"|X|": "10"},
+                diag_lb="100", p="2", q="5"),
+        ]
+        assert list(rows[0]) == ["k", "s", "P", "|X|", "S", "diag_lb",
+                                 "provenance", "slope", "intercept", "p", "q"]
+
     def test_tpq_row(self, capsys, tmp_path):
         out = tmp_path / "c.csv"
         code, _, _ = run_cli(["count", "--k", "2", "--s", "2", "--P", "8",
@@ -387,6 +482,20 @@ class TestSmoothAndDiff:
         assert len(balances) == 3
         assert all(float(r["residual"]) < 1e-9 for r in balances)
 
+    @pytest.mark.parametrize("args,digest", [
+        # the window cells "[lo,hi]" hold a comma, so csv quotes them
+        (["smooth", "--k", "3", "--P", "10000", "--delta", "1.0", "--q", "5,7"],
+         "ab51b5a3b8df63d511d00c40fd7092718029053f05887684e6d317a88764b5c0"),
+        (["smooth", "--k", "3", "--P", "10000,20000", "--levels", "2",
+          "--q", "5"],
+         "e8d831d75c7618ba5e175c25c956ca639c719d2fd04aa7de5e5593aa5e756273"),
+        (["diff", "--k", "3", "--levels", "2", "--delta", "1.0", "--s", "3"],
+         "f36525430d970ac36b3ac812f888ecbb02b7ee5b83497fec096ce9387309eeb9"),
+    ])
+    def test_report_body_bytes_pinned(self, capsys, tmp_path, args, digest):
+        # hashes of the bodies written through csv.writer alone
+        assert body_digest(args, capsys, tmp_path) == digest
+
 
 class TestArcs:
     def test_arc_dump_and_moments(self, capsys, tmp_path):
@@ -420,6 +529,13 @@ class TestArcs:
                 if not line.lstrip().startswith((b'"generated":', b'"seconds":'))]
         assert len(body) == len(lines) - 5
         assert hashlib.sha256(b"".join(body)).hexdigest() == digest
+
+    def test_csv_rows_pinned_without_seconds(self, capsys, tmp_path):
+        rows = rows_without_seconds(["arcs", "--k", "3", "--P", "10"], capsys,
+                                    tmp_path)
+        assert len(rows) == 37
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+            "93cae0fd3a4b126b095567b743447ed92353fe7e2a04c882ea1d20e1f212968a"
 
 
 class TestVerify:
