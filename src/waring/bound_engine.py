@@ -3,17 +3,17 @@
 Everything here is closed-form or a one-dimensional iteration/scan, in double
 precision.  The two headline calculators:
 
-  * gk_bound(k, "T1"): minimize 7 + 2v + 2*ceil(C * r^v) over integer v,
+  * gk_bound(k, "T1"): minimize 7 + 2v + 2*ceil(C * r^v) over integer v >= 0,
     where C = (k-2)/(2*sigma_hat) and r = k/(k+1).
   * gk_bound(k, "T2"): evaluate 3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)) at
     the prescribed u = 1 + ceil((k+1)/2 * log(1/sigma_hat)), with Delta(u)
     taken both from the closed decay bound 2k*exp(-2(u-1)/(k+1)) (headline)
     and from the exact coupled iteration (recorded alongside), and minimize
-    the same value over u by each Delta.
+    the same value over u >= 2 by each Delta.
 
 Each scan runs outward from the optimum of its value with the ceil dropped,
 a convex lower bound, and stops each side once that bound passes the best
-value so far: O(sqrt k) points per scan.
+value so far: O(sqrt k) points per scan, with no cap on how far it may go.
 
 sigma_hat comes from solve_sigma: the positive root of (1+x)*beta = e^x with
 beta = (k-2)(k+1)^2/k^2 feeds sigma_hat = log(1+1/k)/(4(1+root)).
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 
 from .errors import DomainError, RootBracketError
 
@@ -230,19 +230,20 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     return _delta_steps(k, s_max, full=False)
 
 
-def _scan_outward(c: int, arg_at, start: int, lo: int, hi: int,
+def _scan_outward(c: int, arg_at, start: int, lo: int,
                   tie=lambda x: 0) -> tuple:
     """Least (c + 2x + 2*ceil(arg), tie(x), x, arg), arg = arg_at(x), over
-    integer x in [lo, hi], scanning right from start (clamped), then left.
+    integer x >= lo, scanning right from start (raised to lo), then left.
 
     c + 2x + 2*arg, from the float the ceil sees, is convex in x and bounds
     the value below; once it passes the best value by more than 1 (a margin
     for rounding), every x further out on that side is worse still, so the
-    side stops there and no minimiser or tie is missed.
+    side stops there and no minimiser or tie is missed.  arg must be >= 0,
+    so the bound grows without end to the right and the right side stops.
     """
-    start = min(max(start, lo), hi)
+    start = max(start, lo)
     best = (math.inf,)
-    for side in (range(start, hi + 1), range(start - 1, lo - 1, -1)):
+    for side in (count(start), range(start - 1, lo - 1, -1)):
         for x in side:
             arg = arg_at(x)
             if c + 2 * x + 2 * arg > best[0] + 1:
@@ -251,47 +252,39 @@ def _scan_outward(c: int, arg_at, start: int, lo: int, hi: int,
     return best
 
 
-def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
+def gk_bound(k: int, theorem: str | int) -> GkResult:
     """Upper bound for the least number of k-th powers, by either route.
 
-    T1 keeps the least 7 + 2v + 2*ceil(C * r^v) over v in [0, scan_hi],
-    ties resolved toward the continuous optimum vstar.  T2 uses the
-    prescribed u and the closed Delta bound for the headline number; the
-    exact-iteration variant and the least u minimising
-    3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)) in `scan_window`, by either
-    Delta, are recorded in `choice`.  Each scan runs outward from the
-    minimiser of its value with the ceil dropped: vstar for T1,
+    T1 keeps the least 7 + 2v + 2*ceil(C * r^v) over v >= 0, ties resolved
+    toward the continuous optimum vstar.  T2 uses the prescribed u and the
+    closed Delta bound for the headline number; the exact-iteration variant
+    and the least u >= 2 minimising 3 + 2u + 2*ceil(Delta(u)/(2*sigma_hat)),
+    by either Delta, are recorded in `choice`.  Each scan runs outward from
+    the minimiser of its value with the ceil dropped: vstar for T1,
     1 + (k+1)/2 * log(2k/((k+1)*sigma_hat)) for the closed Delta, and for
     the exact one the s where the flow dDelta/ds = -2*Delta/(k+Delta+1),
     which the iteration follows, reaches sigma_hat*(k+1)/(1-sigma_hat).
     The exact lower bound is convex since Delta(s+1) =
-    Delta(k+Delta-1)/(k+Delta+1) falls, so its steps
+    Delta(k+Delta-1)/(k+Delta+1) falls and stays positive, so its steps
     2 - 2*Delta/((k+Delta+1)*sigma_hat) rise; Delta is iterated only as far
-    as the scan reads.  `scan_hi` (scan_factor times vstar) and
-    `scan_window` (+-3k around u at the default scan_factor) are still the
-    caps of the scans, not where they stopped.  scan_factor must be finite
-    and positive.
+    as the scan reads.
     """
     thm = {"T1": "T1", "T2": "T2", 1: "T1", 2: "T2", "1": "T1", "2": "T2"}.get(theorem)
     if thm is None:
         raise DomainError(f"theorem must be 1 or 2, got {theorem!r}")
-    if not 0 < scan_factor < math.inf:
-        raise DomainError(
-            f"scan_factor must be finite and positive, got {scan_factor!r}")
     sig = solve_sigma(k)
     caveat = k < SMALL_K_CUTOFF
 
     if thm == "T1":
         vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
-        v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
         best_bound, _, v_opt, arg = _scan_outward(
             7, lambda v: (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v,
-            round(vstar), 0, v_hi, tie=lambda v: abs(v - vstar))
+            round(vstar), 0, tie=lambda v: abs(v - vstar))
         ceil_term = math.ceil(arg)
         return GkResult(
             k=k, theorem="T1", bound=best_bound,
             choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
-                    "ceil_arg": arg, "scan_hi": v_hi},
+                    "ceil_arg": arg},
             continuous_optimum=vstar,
             asymptote=2 * k * (math.log(k * math.log(k)) + 1 + math.log(2)),
             small_k_caveat=caveat,
@@ -299,8 +292,6 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
 
     u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
     u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
-    scan_lo, scan_hi = max(2, u - math.ceil(scan_factor / 4.0 * 3 * k)), \
-        u + math.ceil(scan_factor / 4.0 * 3 * k)
     steps, exact = _coupled_steps(k), []   # exact[s - 2] = (theta, Delta(s))
 
     def exact_delta(s: int) -> float:
@@ -317,10 +308,10 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
     exact_opt = 2 + ((k + 1) * math.log((k - 2) / d_opt) + k - 2 - d_opt) / 2
     scan_closed = _scan_outward(
         3, lambda uu: delta_bound(k, uu) / (2 * sig.sigma_hat),
-        round(closed_opt), scan_lo, scan_hi)
+        round(closed_opt), 2)
     scan_exact = _scan_outward(
         3, lambda uu: exact_delta(uu) / (2 * sig.sigma_hat),
-        round(exact_opt), scan_lo, scan_hi)
+        round(exact_opt), 2)
     return GkResult(
         k=k, theorem="T2", bound=3 + 2 * u + 2 * ceil_term,
         choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,
@@ -328,8 +319,7 @@ def gk_bound(k: int, theorem: str | int, scan_factor: float = 4.0) -> GkResult:
                 "bound_exact_delta": bound_exact,
                 "scan_u_best": scan_closed[2], "scan_bound_best": scan_closed[0],
                 "scan_exact_u_best": scan_exact[2],
-                "scan_exact_bound_best": scan_exact[0],
-                "scan_window": (scan_lo, scan_hi)},
+                "scan_exact_bound_best": scan_exact[0]},
         continuous_optimum=u_cont,
         asymptote=k * math.log(k * math.log(k)),
         small_k_caveat=caveat,

@@ -69,18 +69,18 @@ _bool = _checked(lambda text: _BOOLS.get(text.lower()), lambda v: v is not None,
                  "expected one of " + ", ".join(_BOOLS))
 
 
-def _option(parse, default=None, help=None, only=None):
+def _option(parse, default=None, help=None):
     """A RunConfig field that is also an option.  `parse` checks and converts
-    its text, from a flag or a config file; `only` names the subcommands that
-    offer it as a flag (all of them when None); `help` is the flag's help."""
-    return field(default=default,
-                 metadata={"parse": parse, "help": help, "only": only})
+    its text, from a flag or a config file; `help` is the flag's help."""
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass
 class RunConfig:
     """Settings of one run.  Every field after `command` is an option: its
-    name is the config key, and the flag is the name with '-' for '_'."""
+    name is the config key, and the flag is the name with '-' for '_'.  A
+    subcommand offers, as flags and as config keys, only the options its
+    handler reads (_HANDLERS)."""
     command: str
     k: int | None = _option(int)
     k_range: tuple[int, int] | None = _option(
@@ -101,23 +101,23 @@ class RunConfig:
     paper_faithful: bool = _option(_bool, False)
     tpq: tuple[int, int] | None = _option(
         _checked(_list(int), lambda v: len(v) == 2 and min(v) > 0,
-                 "expected p,q > 0"), help="p,q primes", only=("count",))
+                 "expected p,q > 0"), help="p,q primes")
     set: str | None = _option(str, help="set file to count over instead of "
-                              "[1..P]", only=("count",))
-    levels: int = _option(int, 0, only=("smooth", "diff"))
-    delta: float | None = _option(float, only=("smooth", "diff"))
-    q: tuple[int, ...] = _option(_list(int), (), "comma-separated moduli",
-                                 ("smooth",))
-    W: float | None = _option(float, only=("arcs",))
-    points: int = _option(int, 512, only=("arcs",))
-    h_max: int = _option(_positive(int), 2, only=("diff",))
-    quick: bool = _option(_bool, False, only=("verify",))
+                              "[1..P]")
+    levels: int | None = _option(
+        _checked(int, lambda v: v >= 0, "must be >= 0"),
+        help="smooth: default 0; diff: default min(3, k)")
+    delta: float | None = _option(float)
+    q: tuple[int, ...] = _option(_list(int), (), "comma-separated moduli")
+    points: int = _option(_positive(int), 512)
+    h_max: int = _option(_positive(int), 2)
+    quick: bool = _option(_bool, False)
 
 
 _OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,8 +129,9 @@ def _parse_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _OPTIONS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _HANDLERS[command][1].split():
+                    raise ConfigError(
+                        f"{path}:{lineno}: unknown key {key!r} for {command}")
                 values[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -148,22 +149,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="waring", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, offered) in _HANDLERS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        for key, meta in _OPTIONS.items():
-            if meta["only"] is None or name in meta["only"]:
-                # a switch stores the text "true", which _bool then parses
-                kind = ({"action": "store_const", "const": "true"}
-                        if meta["parse"] is _bool else {})
-                p.add_argument("--" + key.replace("_", "-"), help=meta["help"],
-                               **kind)
+        for key in offered.split():
+            meta = _OPTIONS[key]
+            # a switch stores the text "true", which _bool then parses
+            kind = ({"action": "store_const", "const": "true"}
+                    if meta["parse"] is _bool else {})
+            p.add_argument("--" + key.replace("_", "-"), help=meta["help"],
+                           **kind)
     return top
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
     """Config-file entries, then flags over them, each parsed from text."""
-    texts = _parse_config_file(args.config) if args.config else {}
+    texts = (_parse_config_file(args.config, args.command) if args.config
+             else {})
     texts.update((key, text) for key, text in vars(args).items()
                  if key in _OPTIONS and text is not None)
     cfg = RunConfig(command=args.command)
@@ -345,7 +347,8 @@ def _cmd_smooth(cfg: RunConfig) -> int:
                 })
             final = sets[-1]
         else:
-            final = smooth_sets.build_single_levels(k, P, cfg.theta, cfg.levels)
+            final = smooth_sets.build_single_levels(k, P, cfg.theta,
+                                                    cfg.levels or 0)
             rows.append({
                 "record": "level", "k": k, "P": P, "level": 0,
                 "size": len(final.elements),
@@ -380,7 +383,7 @@ def _cmd_arcs(cfg: RunConfig) -> int:
         raise ConfigError("arcs needs --k and --P")
     k = cfg.k
     P = cfg.P[0]
-    d = expsum_arcs.ArcDissection.make(P, k, W=cfg.W)
+    d = expsum_arcs.ArcDissection.make(P, k)
     rows = []
     for q, a, center, halfwidth in d.raw_major_arcs():
         rows.append({"record": "arc", "q": q, "a": a, "center": center,
@@ -425,10 +428,12 @@ def _cmd_arcs(cfg: RunConfig) -> int:
 def _cmd_diff(cfg: RunConfig) -> int:
     if cfg.k is None:
         raise ConfigError("diff needs --k")
+    if cfg.levels == 0:
+        raise ConfigError("diff needs --levels >= 1, got 0")
     k = cfg.k
     rows = []
     primes = (2, 3, 5, 7)
-    levels = cfg.levels or min(3, k)
+    levels = min(3, k) if cfg.levels is None else cfg.levels
     for i in range(1, levels + 1):
         h = tuple(1 + (j % cfg.h_max) for j in range(i))
         p = tuple(primes[j % len(primes)] for j in range(i))
@@ -471,13 +476,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 4 if n_fail else 0
 
 
+# each subcommand's handler and the options it reads, which are the only
+# ones it offers
 _HANDLERS = {
-    "bounds": _cmd_bounds,
-    "count": _cmd_count,
-    "smooth": _cmd_smooth,
-    "arcs": _cmd_arcs,
-    "diff": _cmd_diff,
-    "verify": _cmd_verify,
+    "bounds": (_cmd_bounds, "k k_range theorem s paper_faithful format out"),
+    "count": (_cmd_count, "k s P budget_ops set tpq format out"),
+    "smooth": (_cmd_smooth, "k P theta levels delta q format out"),
+    "arcs": (_cmd_arcs, "k P points seed budget_grid format out"),
+    "diff": (_cmd_diff, "k P s levels delta h_max format out"),
+    "verify": (_cmd_verify, "seed quick out"),
 }
 
 
@@ -488,7 +495,7 @@ def _error_record(exc: Exception) -> str:
 def main(argv=None) -> int:
     try:
         cfg = _merge(_build_parser().parse_args(argv))
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2

@@ -130,8 +130,7 @@ def _checked_products(base, primes, coprime: bool) -> tuple[tuple[int, ...], int
     return tuple(sorted(seen)), attempts - len(seen)
 
 
-def build_single(base, window: PrimeWindow,
-                 spec: SmoothSpec | None = None, level: int = 0) -> SmoothSet:
+def build_single(base, window: PrimeWindow) -> SmoothSet:
     """One product layer {x * p : x in base, p in window}, deduplicated."""
     base = tuple(base)
     if not base:
@@ -140,7 +139,7 @@ def build_single(base, window: PrimeWindow,
         raise DomainError("base must be sorted and duplicate-free")
     # every pair is attempted, so lost products = |base|*Z - |elements|
     elements, collisions = _checked_products(base, window.primes, coprime=False)
-    return SmoothSet(spec=spec, level=level, elements=elements,
+    return SmoothSet(spec=None, level=0, elements=elements,
                      windows=(window,), collision_count=collisions)
 
 

@@ -207,16 +207,6 @@ class TestGkBound:
         assert ct == math.ceil(be.delta_bound(20, u) / (2 * sig.sigma_hat))
         assert r2.bound == 3 + 2 * u + 2 * ct
 
-    def test_scan_soundness_wider_window(self):
-        # doubling the scan window changes nothing
-        for k in (10, 20):
-            base1 = be.gk_bound(k, "T1")
-            wide1 = be.gk_bound(k, "T1", scan_factor=8.0)
-            assert wide1.bound == base1.bound
-            base2 = be.gk_bound(k, "T2")
-            wide2 = be.gk_bound(k, "T2", scan_factor=8.0)
-            assert wide2.choice["scan_bound_best"] == base2.choice["scan_bound_best"]
-
     def test_scan_minimum_not_above_prescribed(self):
         r = be.gk_bound(20, "T2")
         assert r.choice["scan_bound_best"] <= r.bound
@@ -251,19 +241,13 @@ class TestGkBound:
         with pytest.raises(DomainError):
             be.gk_bound(10, "T3")
 
-    @pytest.mark.parametrize("theorem", ["T1", "T2"])
-    @pytest.mark.parametrize("scan_factor", [math.nan, math.inf, -math.inf,
-                                             -1.0, 0.0],
-                             ids=["nan", "inf", "minus_inf", "negative", "zero"])
-    def test_scan_factor_must_be_finite_and_positive(self, theorem, scan_factor):
-        with pytest.raises(DomainError, match="scan_factor"):
-            be.gk_bound(20, theorem, scan_factor)
 
-
-def _full_scan_gk(k, theorem, scan_factor):
+def _full_scan_gk(k, theorem):
     """The bound scans as they were before they stopped early: every v in
-    [0, scan_hi] and every u in the scan window is evaluated.  The oracle
-    for the pruned scans of gk_bound."""
+    [0, max(8, ceil(8 * max(vstar, 1)))] and every u within 6k of the
+    prescribed u (but >= 2) is evaluated.  Those windows hold each optimum:
+    none lies on their upper edge.  The oracle for the pruned scans of
+    gk_bound."""
     sig = be.solve_sigma(k)
     caveat = k < be.SMALL_K_CUTOFF
 
@@ -278,21 +262,17 @@ def _full_scan_gk(k, theorem, scan_factor):
 
     if theorem == "T1":
         vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
-        v_hi = max(8, math.ceil(scan_factor * max(vstar, 1.0)))
-        best_bound = None
-        values = []
-        for v in range(0, v_hi + 1):
-            bound, _, _ = t1_value(v)
-            values.append(bound)
-            if best_bound is None or bound < best_bound:
-                best_bound = bound
+        v_hi = max(8, math.ceil(8 * max(vstar, 1.0)))
+        values = [t1_value(v)[0] for v in range(0, v_hi + 1)]
+        best_bound = min(values)
         minimizers = [v for v, b in enumerate(values) if b == best_bound]
         v_opt = min(minimizers, key=lambda v: (abs(v - vstar), v))
+        assert max(minimizers) < v_hi, k
         _, arg, ceil_term = t1_value(v_opt)
         return be.GkResult(
             k=k, theorem="T1", bound=best_bound,
             choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
-                    "ceil_arg": arg, "scan_hi": v_hi},
+                    "ceil_arg": arg},
             continuous_optimum=vstar,
             asymptote=2 * k * (math.log(k * math.log(k)) + 1 + math.log(2)),
             small_k_caveat=caveat,
@@ -300,8 +280,7 @@ def _full_scan_gk(k, theorem, scan_factor):
 
     u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
     u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
-    scan_lo, scan_hi = max(2, u - math.ceil(scan_factor / 4.0 * 3 * k)), \
-        u + math.ceil(scan_factor / 4.0 * 3 * k)
+    scan_lo, scan_hi = max(2, u - 6 * k), u + 6 * k
     table = be.delta_iterate(k, scan_hi)
     delta_u_closed = be.delta_bound(k, u)
     delta_u_exact = table.delta_at(u)
@@ -314,6 +293,7 @@ def _full_scan_gk(k, theorem, scan_factor):
             b, _ = t2_value(uu, delta_of_u(uu))
             if best is None or b < best[1]:
                 best = (uu, b)
+        assert best[0] < scan_hi, k
         return best
 
     scan_closed = scan(lambda uu: be.delta_bound(k, uu))
@@ -325,86 +305,104 @@ def _full_scan_gk(k, theorem, scan_factor):
                 "bound_exact_delta": bound_exact,
                 "scan_u_best": scan_closed[0], "scan_bound_best": scan_closed[1],
                 "scan_exact_u_best": scan_exact[0],
-                "scan_exact_bound_best": scan_exact[1],
-                "scan_window": (scan_lo, scan_hi)},
+                "scan_exact_bound_best": scan_exact[1]},
         continuous_optimum=u_cont,
         asymptote=k * math.log(k * math.log(k)),
         small_k_caveat=caveat,
     )
 
 
+def _continued(arg, x):
+    """arg[x]; past the end of arg its steps keep rising by 1/16 each, so
+    the sequence stays convex and its lower bound grows without end."""
+    n = len(arg)
+    if x < n:
+        return arg[x]
+    last, j = (arg[-1] - arg[-2] if n > 1 else 0.0), x - n + 1
+    return arg[-1] + j * last + j * (j + 1) / 32
+
+
 @st.composite
 def _scan_cases(draw):
-    """(c, arg, start, lo, hi, ties) for _scan_outward over x in 0..len(arg)-1.
-    arg is convex: its steps only rise, and they are multiples of 1/16, so
-    every sum is exact and ceil sees exact integers too."""
+    """(c, arg, start, lo, ties) for _scan_outward over x >= lo, with arg
+    read through _continued.  arg is convex: its steps only rise, and they
+    are multiples of 1/16, so every sum is exact and ceil sees exact
+    integers too."""
     steps = sorted(draw(st.lists(st.integers(-96, 96), max_size=40)))
     arg = [draw(st.integers(-160, 160)) / 16]
     for step in steps:
         arg.append(arg[-1] + step / 16)
     n = len(arg)
-    lo = draw(st.integers(0, n - 1))
-    hi = draw(st.integers(lo, n - 1))
-    return (draw(st.integers(-10, 10)), arg, draw(st.integers(-3, n + 2)), lo,
-            hi, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return (draw(st.integers(-10, 10)), arg, draw(st.integers(-3, n + 2)),
+            draw(st.integers(0, n - 1)),
+            draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+def _record_scans(monkeypatch):
+    """Wrap _scan_outward so each call appends the list of the x it reads."""
+    scan, reads = be._scan_outward, []
+
+    def recorded(c, arg_at, *args, **kwargs):
+        reads.append([])
+
+        def arg(x):
+            reads[-1].append(x)
+            return arg_at(x)
+        return scan(c, arg, *args, **kwargs)
+
+    monkeypatch.setattr(be, "_scan_outward", recorded)
+    return reads
 
 
 class TestPrunedScans:
-    @pytest.mark.parametrize("scan_factor", [1, 4, 8])
     @pytest.mark.parametrize("theorem", ["T1", "T2"])
-    def test_equal_to_full_scan(self, theorem, scan_factor):
+    def test_equal_to_full_scan(self, theorem):
         for k in [*range(3, 301), 1000, 5000]:
-            r = be.gk_bound(k, theorem, scan_factor)
-            assert r == _full_scan_gk(k, theorem, scan_factor), k
+            assert be.gk_bound(k, theorem) == _full_scan_gk(k, theorem), k
 
-    def test_exact_deltas_keep_ceil_term_nonnegative(self):
-        # the T2 stop rule needs ceil(Delta/(2*sigma_hat)) >= 0 at every u
-        # the exact scan may read, that is Delta > -2*sigma_hat; the window
-        # at scan_factor 8 holds those at 1 and 4
+    def test_exact_deltas_keep_ceil_term_nonnegative(self, monkeypatch):
+        # the scans stop on the right only because every arg is >= 0; for
+        # the exact T2 scan that is Delta(s) > 0 at every s it reads
+        reads = _record_scans(monkeypatch)
         for k in [*range(3, 301), 1000, 5000]:
-            lo, hi = be.gk_bound(k, "T2", 8).choice["scan_window"]
-            floor = -2 * be.solve_sigma(k).sigma_hat
-            assert min(be.delta_iterate(k, hi).deltas[lo - 2:]) > floor, k
+            reads.clear()
+            be.gk_bound(k, "T2")
+            read = reads[1]     # the closed scan first, then the exact one
+            table = be.delta_iterate(k, max(read))
+            assert all(table.delta_at(s) > 0 for s in read), k
 
     @settings(max_examples=30, deadline=None)
-    @given(k=st.integers(3, 3000), scan_factor=st.floats(0.05, 10))
+    @given(k=st.integers(3, 3000))
     @pytest.mark.parametrize("theorem", ["T1", "T2"])
-    def test_equal_to_full_scan_any_caps(self, theorem, k, scan_factor):
-        # small scan factors put the caps below the optimum
-        assert be.gk_bound(k, theorem, scan_factor) == \
-            _full_scan_gk(k, theorem, scan_factor)
+    def test_equal_to_full_scan_any_k(self, theorem, k):
+        assert be.gk_bound(k, theorem) == _full_scan_gk(k, theorem)
 
     @settings(max_examples=300, deadline=None)
     @given(_scan_cases())
     # the point after the start wins (bound 10 against 12) although its
     # lower bound 9.8 is above 12 - 3, so a stop margin 4 below +1 fails
-    @example((0, [5.01, 3.9, 3.9, 4.9, 5.9], 0, 0, 4, [0] * 5))
+    @example((0, [5.01, 3.9, 3.9, 4.9, 5.9], 0, 0, [0] * 5))
     def test_scan_outward_equals_brute_force(self, case):
-        c, arg, start, lo, hi, ties = case
-        got = be._scan_outward(c, arg.__getitem__, start, lo, hi,
-                               tie=ties.__getitem__)
-        assert got == min((c + 2 * x + 2 * math.ceil(arg[x]), ties[x], x, arg[x])
-                          for x in range(lo, hi + 1))
+        # past x = len(arg) + 96 the steps of arg are >= 0, so the values
+        # rise from there on and the brute-force min may stop at +100
+        c, arg, start, lo, ties = case
+
+        def tie(x):
+            return ties[x % len(ties)]
+        got = be._scan_outward(c, lambda x: _continued(arg, x), start, lo,
+                               tie=tie)
+        assert got == min(
+            (c + 2 * x + 2 * math.ceil(_continued(arg, x)), tie(x), x,
+             _continued(arg, x)) for x in range(lo, len(arg) + 100))
 
     @pytest.mark.parametrize("k", [1000, 5000])
     def test_scans_read_order_sqrt_k_points(self, k, monkeypatch):
-        # a scan that walks from its cap reads order k points or more
-        reads = []
-
-        def counted(c, arg_at, *args, **kwargs):
-            reads.append(0)
-
-            def arg(x):
-                reads[-1] += 1
-                return arg_at(x)
-            return scan(c, arg, *args, **kwargs)
-
-        scan = be._scan_outward
-        monkeypatch.setattr(be, "_scan_outward", counted)
+        # a scan that walks from a far end reads order k points or more
+        reads = _record_scans(monkeypatch)
         be.gk_bound(k, "T1")
         be.gk_bound(k, "T2")
         assert len(reads) == 3
-        assert max(reads) <= 6 * math.sqrt(k), reads
+        assert max(map(len, reads)) <= 6 * math.sqrt(k), reads
 
     def test_t2_excess_over_log_shape_falls(self):
         # refs [4] and [8] give G(k) <= k(log k + log log k + O(1)); T2's

@@ -45,14 +45,17 @@ def rows_without_seconds(args, capsys, tmp_path):
     return rows
 
 
-COMMON_FLAGS = {"-h", "--help", "--config", "--k", "--k-range", "--theorem",
-                "--P", "--theta", "--s", "--budget-ops", "--budget-grid",
-                "--seed", "--format", "--out", "--paper-faithful"}
-EXTRA_FLAGS = {"bounds": set(), "count": {"--tpq", "--set"},
-               "smooth": {"--levels", "--delta", "--q"},
-               "arcs": {"--W", "--points"},
-               "diff": {"--levels", "--delta", "--h-max"},
-               "verify": {"--quick"}}
+OFFERED = {"bounds": {"--k", "--k-range", "--theorem", "--s",
+                      "--paper-faithful", "--format", "--out"},
+           "count": {"--k", "--s", "--P", "--budget-ops", "--set", "--tpq",
+                     "--format", "--out"},
+           "smooth": {"--k", "--P", "--theta", "--levels", "--delta", "--q",
+                      "--format", "--out"},
+           "arcs": {"--k", "--P", "--points", "--seed", "--budget-grid",
+                    "--format", "--out"},
+           "diff": {"--k", "--P", "--s", "--levels", "--delta", "--h-max",
+                    "--format", "--out"},
+           "verify": {"--seed", "--quick", "--out"}}
 
 
 def test_each_subcommand_offers_exactly_its_flags():
@@ -60,8 +63,9 @@ def test_each_subcommand_offers_exactly_its_flags():
             if isinstance(a, argparse._SubParsersAction)]
     offered = {name: {flag for a in p._actions for flag in a.option_strings}
                for name, p in sub.choices.items()}
-    assert offered == {name: COMMON_FLAGS | extra
-                       for name, extra in EXTRA_FLAGS.items()}
+    assert offered == {name: {"-h", "--help", "--config"} | flags
+                       for name, flags in OFFERED.items()}
+    assert sum(map(len, OFFERED.values())) == 41
 
 
 class TestBounds:
@@ -268,7 +272,15 @@ class TestConfigHandling:
                                       ["diff", "--k", "3", "--delta", "1.0",
                                        "--s", "0"],
                                       ["diff", "--k", "3", "--delta", "1.0",
-                                       "--s", "-1"]])
+                                       "--s", "-1"],
+                                      ["arcs", "--k", "3", "--P", "10",
+                                       "--points", "0"],
+                                      ["arcs", "--k", "3", "--P", "10",
+                                       "--points", "-5"],
+                                      ["smooth", "--k", "3", "--P", "1000",
+                                       "--levels", "-2"],
+                                      ["diff", "--k", "3", "--levels", "-1"],
+                                      ["diff", "--k", "3", "--levels", "0"]])
     def test_out_of_range_value_is_config_error(self, capsys, args):
         code, out, err = run_cli(args, capsys)
         assert code == 2
@@ -333,7 +345,16 @@ class TestConfigHandling:
                                             "--bogus"),
                                            ([], "command"),
                                            (["diff", "--k", "3", "--x-range", "8"],
-                                            "--x-range")])
+                                            "--x-range"),
+                                           # flags the subcommand does not read
+                                           (["verify", "--quick", "--format",
+                                             "json"], "--format"),
+                                           (["bounds", "--k", "5", "--seed", "1"],
+                                            "--seed"),
+                                           (["count", "--k", "3", "--P", "20",
+                                             "--theta", "0.3"], "--theta"),
+                                           (["arcs", "--k", "3", "--P", "10",
+                                             "--W", "3"], "--W")])
     def test_bad_command_line_is_config_error(self, capsys, args, text):
         code, out, err = run_cli(args, capsys)
         assert code == 2
@@ -341,6 +362,21 @@ class TestConfigHandling:
         record = json.loads(err)
         assert record["error"] == "ConfigError"
         assert text in record["message"]
+
+    @pytest.mark.parametrize("command,entry", [("bounds", "seed = 1"),
+                                               ("count", "theta = 0.3"),
+                                               ("arcs", "W = 3"),
+                                               ("verify", "format = json")])
+    def test_config_key_the_subcommand_does_not_read_is_config_error(
+            self, capsys, tmp_path, command, entry):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(entry + "\n")
+        code, out, err = run_cli([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert repr(entry.split()[0]) in record["message"]
 
     def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -392,8 +428,7 @@ class TestCount:
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             code, _, _ = run_cli(["count", "--k", "3", "--s", "2",
-                                  "--P", "20,40,80", "--seed", "7",
-                                  "--out", str(out)], capsys)
+                                  "--P", "20,40,80", "--out", str(out)], capsys)
             assert code == 0
             rows = [l for l in out.read_text().splitlines()
                     if not l.startswith("#")]
@@ -481,6 +516,24 @@ class TestSmoothAndDiff:
         balances = [r for r in rows if r["record"] == "balance"]
         assert len(balances) == 3
         assert all(float(r["residual"]) < 1e-9 for r in balances)
+
+    @pytest.mark.parametrize("args,same_as", [
+        (["smooth", "--k", "3", "--P", "1000"], ["--levels", "0"]),
+        (["diff", "--k", "3"], ["--levels", "3"]),
+        (["diff", "--k", "4", "--delta", "1.0"], ["--levels", "3"])])
+    def test_levels_default(self, capsys, tmp_path, args, same_as):
+        # smooth: the bare interval; diff: min(3, k) levels
+        assert report_body(args, capsys, tmp_path) == \
+            report_body(args + same_as, capsys, tmp_path)
+
+    def test_smooth_zero_levels_is_the_interval(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(["smooth", "--k", "3", "--P", "1000",
+                              "--levels", "0", "--out", str(out)], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(
+            l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert rows[0]["size"] == rows[0]["base_floor"] == "1000"
 
     @pytest.mark.parametrize("args,digest", [
         # the window cells "[lo,hi]" hold a comma, so csv quotes them
