@@ -1,16 +1,16 @@
 """Exponent-recursion calculator and verification toolkit for sums of k-th powers."""
 
 from .aux_count import (CountResult, DistinctSums, ExponentFit, Lemma1Report,
-                        RepFunction, brute_force_s_count, brute_force_t_pq,
-                        distinct_sums_bound, exponent_fit, lemma1_check,
-                        lemma1_sides, rep_function, s_count, t_pq_count)
+                        RepFunction, brute_force_t_pq, distinct_sums_bound,
+                        exponent_fit, lemma1_check, lemma1_sides,
+                        rep_function, s_count, t_pq_count)
 from .bound_engine import (ExponentTable, GkResult, SigmaData, ThetaSchedule,
                            delta_bound, delta_iterate, gk_bound,
                            lambda_closed, lambda_iterate, solve_sigma,
                            theta_schedule)
 from .differences import (BalanceCounts, BalanceGeometry, DiffChain,
-                          IntPolynomial, Lemma7Terms, f_i_sum, forward_diff,
-                          lemma7_terms, model_counts, modified_diff, psi)
+                          IntPolynomial, Lemma7Terms, f_i_sum, lemma7_terms,
+                          model_counts, modified_diff, psi)
 from .errors import (BudgetError, CoprimalityError, DomainError,
                      EmptyWindowError, RootBracketError, WaringError,
                      WidthOverflowError)

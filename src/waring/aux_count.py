@@ -15,19 +15,19 @@ int64.  Outer sums add limb by limb, then carry once (digit sums stay below
 every count and count product, is below 2^63, and Python ints above it.
 The kernel sorts the outer sums of a block of about _BLOCK_PAIRS entries,
 adds up each run of equal keys and merges the reduced blocks as it goes, so
-memory stays within twice the number of distinct sums plus one block.  Keys
-of L > 1 limbs sort once on an int64 lead made from their top two limbs,
-which ascends with the key; a group of equal leads is lexsorted only if it
-holds unequal keys, as most are equal sums (x^k + y^k and y^k + x^k).
+memory stays within twice the number of distinct sums plus one block.  A
+split into two equal lists squares one half, forming each unordered pair of
+entries once.  Keys of L > 1 limbs sort once on an int64 lead made from
+their top two limbs, which ascends with the key; a group of equal leads is
+lexsorted only if it holds unequal keys.
 
-brute_force_s_count and brute_force_t_pq enumerate tuples directly; they are
-the independent reference route and share no code with the fast path.
+brute_force_t_pq enumerates tuples directly; it is the independent reference
+route and shares no code with the fast path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -155,8 +155,8 @@ def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
     ascending tables are runs that a stable sort merges in linear time.
     With L > 1 limbs one sort orders the keys by their int64 _lead, and only
     the groups of equal leads that hold unequal keys are then lexsorted in
-    place.  Most equal leads are true duplicates (x^k + y^k beside
-    y^k + x^k), which any order already leaves as one run.
+    place.  Equal keys, which are sums of distinct tuples, form one run in
+    any order.
     """
     keys = np.concatenate([k for k, _ in tables], axis=1)
     counts = np.concatenate([c for _, c in tables])
@@ -209,23 +209,42 @@ def _add(ak: np.ndarray, bk: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution of two (keys, counts) tables, in row blocks.
+def _blocks(rows: int, cols, block) -> tuple[np.ndarray, np.ndarray]:
+    """block(i, e), the (keys, counts) of rows i..e-1, reduced over blocks of
+    about _BLOCK_PAIRS entries and merged; no row from i on passes cols(i).
 
     Reduced blocks stay on a stack whose tables at least halve in length
     towards the top, so at most twice the distinct sums are held at once;
     after the last block the whole stack is merged.
     """
-    (ak, ac), (bk, bc) = a, b
-    rows = max(1, _BLOCK_PAIRS // len(bc))
-    stack: list = []
-    for i in range(0, len(ac), rows):
-        stack.append(_runs([(_add(ak[:, i:i + rows], bk),
-                             np.multiply.outer(ac[i:i + rows], bc).ravel())]))
-        last = i + rows >= len(ac)
-        while len(stack) > 1 and (last or 2 * len(stack[-1][1]) >= len(stack[-2][1])):
+    stack, i = [], 0
+    while i < rows:
+        e = min(rows, i + max(1, _BLOCK_PAIRS // cols(i)))
+        stack.append(_runs([block(i, e)]))
+        i = e
+        while len(stack) > 1 and (i == rows or 2 * len(stack[-1][1]) >= len(stack[-2][1])):
             stack.append(_runs([stack.pop(), stack.pop()]))
     return stack[0]
+
+
+def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution of two (keys, counts) tables, in row blocks of a."""
+    (ak, ac), (bk, bc) = a, b
+    return _blocks(len(ac), lambda i: len(bc), lambda i, e: (
+        _add(ak[:, i:e], bk), np.multiply.outer(ac[i:e], bc).ravel()))
+
+
+def _square(t: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """_convolve(t, t), each unordered pair once: row a keeps the columns
+    b >= a, counted c_a c_b and doubled only where b > a (not 2 c_a^2)."""
+    keys, c = t
+
+    def block(i, e):
+        w = np.multiply.outer(c[i:e], c[i:])
+        np.multiply(w, 2, out=w, where=~np.tri(*w.shape, dtype=bool))  # b > a
+        keep = ~np.tri(*w.shape, -1, dtype=bool).ravel()                # b >= a
+        return _add(keys[:, i:e], keys[:, i:])[:, keep], w.ravel()[keep]
+    return _blocks(len(c), lambda i: len(c) - i, block)
 
 
 def _table(powers: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +252,10 @@ def _table(powers: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     if len(powers) == 1:
         return _runs([(_split(powers[0], L), np.ones(len(powers[0]), dtype=dtype))])
     mid = (len(powers) + 1) // 2  # left block takes ceil(s/2) lists
-    return _convolve(_table(powers[:mid], L, dtype), _table(powers[mid:], L, dtype))
+    left = _table(powers[:mid], L, dtype)
+    if powers[:mid] == powers[mid:]:  # as in every s_count: build one half
+        return _square(left)
+    return _convolve(left, _table(powers[mid:], L, dtype))
 
 
 def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFunction:
@@ -327,30 +349,12 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
                        diagonal_lb=len(E) ** s)
 
 
-def brute_force_s_count(X, s: int, k: int) -> int:
-    """Reference enumeration over all 2s-tuples; independent of the fast path."""
-    X = sorted(set(X))
-    hits = 0
-    sums = Counter(sum(t) for t in product([x**k for x in X], repeat=s))
-    for c in sums.values():
-        hits += c * c
-    return hits
-
-
 def brute_force_t_pq(E, s: int, k: int, p: int, q: int) -> int:
     """Reference enumeration of the auxiliary congruence equation count."""
     E = sorted(set(E))
-    pk, qk = p**k, q**k
-    count = 0
-    for xs in product(E, repeat=s - 1):
-        lx = sum(v**k for v in xs)
-        for ys in product(E, repeat=s - 1):
-            ly = sum(v**k for v in ys)
-            for x in E:
-                for y in E:
-                    if pk * (lx - ly) == qk * (y**k - x**k):
-                        count += 1
-    return count
+    sums = [sum(v**k for v in xs) for xs in product(E, repeat=s - 1)]
+    return sum(p**k * (lx - ly) == q**k * (y**k - x**k)
+               for lx in sums for ly in sums for x in E for y in E)
 
 
 def lemma1_sides(inner_elements, window: smooth_sets.PrimeWindow, s: int,

@@ -4,10 +4,9 @@ modified_diff(phi, h, m) is (phi(x + hm) - phi(x)) / m, built in one pass
 over the coefficients.  With t = hm, phi(x + t) - phi(x) has coefficient
 sum_{j>i} c_j C(j, i) t^(j-i) at x^i; every term has j > i, so it carries a
 factor t = hm, and cancelling m leaves sum_{j>i} c_j C(j, i) h t^(j-i-1).
-That is an exact integer with no division and no remainder.
-forward_diff(phi, t) is the case m = 1.  Chaining modified differences with
-moduli p_j^k against x^k yields the polynomials psi_i of degree k - i with
-leading coefficient k(k-1)...(k-i+1) * h_1...h_i.
+That is exact, and m = 1 is the forward difference.  Chaining modified
+differences with moduli p_j^k against x^k yields the polynomials psi_i of
+degree k - i with leading coefficient k(k-1)...(k-i+1) * h_1...h_i.
 
 lemma7_terms evaluates the two competing terms U_i, V_i of the nested-sum
 estimate in log space; with power-law model counts and a balanced
@@ -73,11 +72,6 @@ def _index(v) -> int:
         return operator.index(v)
     except TypeError:
         raise DomainError(f"{v!r} is not an integer") from None
-
-
-def forward_diff(phi: IntPolynomial, t: int) -> IntPolynomial:
-    """phi(x + t) - phi(x)."""
-    return modified_diff(phi, t, 1)
 
 
 def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:

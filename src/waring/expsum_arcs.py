@@ -130,8 +130,10 @@ def frequencies(spec: ExpSumSpec) -> np.ndarray | tuple:
                                                spec.windows, spec.x_range)
     else:
         ms, xs = _product_form(spec)
-        freqs = tuple((m * x)**spec.k for m in ms for x in xs)
-    arr = np.array(freqs)
+        freqs = (np.multiply.outer(ms, xs, dtype=np.int64).ravel() ** spec.k
+                 if max_frequency(spec) < 2**63  # so is each lower power
+                 else tuple((m * x)**spec.k for m in ms for x in xs))
+    arr = np.asarray(freqs)
     if arr.dtype.kind != "i":   # past int64, numpy infers uint64, float or object
         return freqs
     arr.flags.writeable = False

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_s_count
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
 from waring import smooth_sets as sm
@@ -86,7 +87,7 @@ class TestSCount:
             k = rng.randint(1, 3)
             if len(X) ** s > 10**5:
                 continue
-            assert ac.s_count(X, s, k).S == ac.brute_force_s_count(X, s, k)
+            assert ac.s_count(X, s, k).S == brute_force_s_count(X, s, k)
 
 
 class TestDistinctSums:
@@ -160,7 +161,7 @@ class TestInt64Kernel:
     @given(X=st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
            s=st.integers(1, 3), k=st.integers(1, 5))
     def test_s_count_matches_brute_force(self, X, s, k):
-        assert ac.s_count(X, s, k).S == ac.brute_force_s_count(X, s, k)
+        assert ac.s_count(X, s, k).S == brute_force_s_count(X, s, k)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -180,7 +181,7 @@ class TestInt64Kernel:
     @given(X=st.lists(wide, min_size=1, max_size=6, unique=True),
            s=st.integers(1, 3), k=st.integers(1, 4))
     def test_wide_s_count_matches_brute_force(self, X, s, k):
-        assert ac.s_count(X, s, k).S == ac.brute_force_s_count(X, s, k)
+        assert ac.s_count(X, s, k).S == brute_force_s_count(X, s, k)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -199,7 +200,7 @@ class TestInt64Kernel:
         rep = ac.rep_function([X] * 2, 1)
         assert len(rep.keys) == 2
         assert rep.table == {2 * c: 1, 2**62 + 2 * c: 2, 2**63 + 2 * c: 1}
-        assert ac.s_count(X, 2, 1).S == ac.brute_force_s_count(X, 2, 1) == 6
+        assert ac.s_count(X, 2, 1).S == brute_force_s_count(X, 2, 1) == 6
 
     @pytest.mark.parametrize("X,dtype", [
         # k=1, s=2: 2 * max|x| is 2^63 - 2, just inside one limb
@@ -213,7 +214,7 @@ class TestInt64Kernel:
         rep = ac.rep_function([X] * 2, 1)
         assert len(rep.keys) == (1 if dtype is np.int64 else 2)
         assert rep.values.dtype == dtype
-        assert ac.s_count(X, 2, 1).S == ac.brute_force_s_count(X, 2, 1)
+        assert ac.s_count(X, 2, 1).S == brute_force_s_count(X, 2, 1)
 
     @pytest.mark.parametrize("T,one_limb", [
         (1537228672809129301, True),    # 6T < 2^63: q(y - x) reaches 6T
@@ -258,7 +259,7 @@ class TestInt64Kernel:
         monkeypatch.setattr(ac, "_INT64", 8)
         X = [-3, 1, 2, 5]
         assert ac.rep_function([X] * 3, 2).counts.dtype == object
-        assert ac.s_count(X, 3, 2).S == ac.brute_force_s_count(X, 3, 2)
+        assert ac.s_count(X, 3, 2).S == brute_force_s_count(X, 3, 2)
         E = [-3, 1, 5]
         assert ac.t_pq_count(E, 2, 3, 2, 3).S == ac.brute_force_t_pq(E, 2, 3, 2, 3)
 
@@ -381,6 +382,72 @@ class TestLeadSort:
     def test_keys_strictly_ascend(self, X, s, k):
         values = ac.rep_function([X] * s, k).values.tolist()
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+class TestSquare:
+    """_table squares a table whose two halves are equal lists: each unordered
+    pair of entries once, weighted c_a^2 on the diagonal and 2 c_a c_b off it."""
+
+    # element ranges whose sums of two 4th powers take one, two and three limbs
+    ranges = {1: 2**12, 2: 2**25, 3: 2**40}
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_equals_general_convolution(self, monkeypatch, L, dtype, block):
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", block)
+        rng = random.Random(L * block)
+        hi = self.ranges[L]
+        for _ in range(3):
+            X = [rng.randint(-hi, hi) for _ in range(rng.randint(1, 30))]
+            values = [x**4 for x in X] + [-(x**4) for x in X[::3]]
+            assert ac._limbs(2 * max(map(abs, values))) == L
+            counts = [rng.randint(1, 5) + (2**70 if dtype is object else 0)
+                      for _ in values]
+            t = ac._runs([(ac._split(values, L), np.array(counts, dtype=dtype))])
+            keys, got = ac._square(t)
+            want_keys, want = ac._convolve(t, t)
+            assert keys.dtype == np.int64 and got.dtype == want.dtype
+            assert np.array_equal(keys, want_keys)
+            assert got.tolist() == want.tolist()
+
+    def test_diagonal_count_is_never_doubled(self):
+        # 2 (2^31 + 5)^2 passes 2^63; (2^31 + 5)^2 + 2 (2^31 + 5) + 1 does not
+        c = 2**31 + 5
+        t = (ac._split([1, 2**40], 1), np.array([c, 1], dtype=np.int64))
+        keys, counts = ac._square(t)
+        assert counts.dtype == np.int64
+        assert keys.tolist() == [[2, 2**40 + 1, 2**41]]
+        assert counts.tolist() == [c * c, 2 * c, 1]
+        assert int(counts.sum()) == (c + 1)**2 < 2**63
+
+    @staticmethod
+    def squares(monkeypatch):
+        """Record the number of entries of each table _square gets."""
+        calls = []
+        square = ac._square
+        monkeypatch.setattr(ac, "_square", lambda t: calls.append(len(t[1]))
+                            or square(t))
+        return calls
+
+    # s = 4 squares the pair table too, and builds no second half
+    @pytest.mark.parametrize("s,squared", [(2, 1), (3, 1), (4, 2)])
+    def test_s_count_matches_brute_force(self, monkeypatch, s, squared):
+        calls = self.squares(monkeypatch)
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", 16)
+        rng = random.Random(s)
+        for k in (1, 2, 3):
+            X = rng.sample(range(-15, 16), 7 if s < 4 else 5)
+            assert ac.s_count(X, s, k).S == brute_force_s_count(X, s, k)
+        assert len(calls) == 3 * squared
+
+    def test_t_pq_left_table_is_squared(self, monkeypatch):
+        calls = self.squares(monkeypatch)
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", 16)
+        for E, k in (([-5, 1, 3, 7], 2), ([-7, -1, 3, 5], 3)):
+            assert ac.t_pq_count(E, 3, k, 2, 3).S == ac.brute_force_t_pq(E, 3, k, 2, 3)
+        # the two halves of the left table, p^k x^k and -p^k x^k, are squared
+        assert calls == [4, 4] * 2
 
 
 class TestLemma1:

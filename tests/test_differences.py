@@ -70,7 +70,7 @@ class TestIntPolynomial:
         assert shift(X3, 2).coeffs == (8, 12, 6, 1)
 
     def test_zero_degree_sentinel(self):
-        zero = df.forward_diff(df.IntPolynomial.x_power(0), 1)
+        zero = df.modified_diff(df.IntPolynomial.x_power(0), 1, 1)
         assert zero.degree == -1
         assert zero.coeffs == ()
 
@@ -94,17 +94,19 @@ class TestIntPolynomial:
 
 
 class TestForwardDiff:
+    """The forward difference phi(x + t) - phi(x) is modified_diff with m = 1."""
+
     def test_square_step_one(self):
-        assert df.forward_diff(X2, 1).coeffs == (1, 2)
+        assert df.modified_diff(X2, 1, 1).coeffs == (1, 2)
 
     def test_cube_twice(self):
-        once = df.forward_diff(X3, 1)
-        twice = df.forward_diff(once, 1)
+        once = df.modified_diff(X3, 1, 1)
+        twice = df.modified_diff(once, 1, 1)
         assert twice.coeffs == (6, 6)
 
     def test_constant_vanishes(self):
         c = df.IntPolynomial.make([17])
-        assert df.forward_diff(c, 5).degree == -1
+        assert df.modified_diff(c, 5, 1).degree == -1
 
     def test_degree_drops_by_one(self):
         rng = random.Random(1)
@@ -113,7 +115,7 @@ class TestForwardDiff:
             coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
             phi = df.IntPolynomial.make(coeffs)
             t = rng.randint(1, 5)
-            assert df.forward_diff(phi, t).degree == phi.degree - 1
+            assert df.modified_diff(phi, t, 1).degree == phi.degree - 1
 
 
 class TestModifiedDiff:
@@ -126,7 +128,7 @@ class TestModifiedDiff:
     def test_unit_modulus_matches_forward(self):
         for k in (2, 3, 5):
             xk = df.IntPolynomial.x_power(k)
-            assert df.modified_diff(xk, 1, 1) == df.forward_diff(xk, 1)
+            assert df.modified_diff(xk, 1, 1) == subtract(shift(xk, 1), xk)
 
     def test_divisibility_never_fails_on_power_sweep(self):
         rng = random.Random(5)

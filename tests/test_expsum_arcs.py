@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_s_count
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
 from waring.errors import BudgetError, DomainError
@@ -146,6 +147,25 @@ class TestSpecs:
         assert ea.frequencies(spec).tolist() == freqs
         assert ea.term_count(spec) == len(ea.frequencies(spec))
         assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
+
+    # below 2^63 the table is one int64 outer product raised to the k-th power
+    @pytest.mark.parametrize("spec", [
+        ea.PrimeSmooth.make(3, 1e6),
+        ea.SetPowers(elements=(-9, -4, 0, 3, 7), k=5),
+        ea.SetPowers(elements=(-(2**21 - 1), -2, 2**21 - 1), k=3),
+        ea.SinglePrime(elements=(-(2**19), 3), p=3, k=3),
+    ], ids=["prime_smooth", "negatives", "int64_edge", "single_prime"])
+    def test_int64_table_equals_tuple_build(self, spec):
+        ms, xs = ea._product_form(spec)
+        want = np.array(tuple((m * x)**spec.k for m in ms for x in xs))
+        got = ea.frequencies(spec)
+        assert got.dtype == want.dtype == np.int64
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+
+    def test_past_int64_stays_a_tuple(self):
+        spec = ea.SetPowers(elements=(-3, 2**21), k=3)
+        assert ea.frequencies(spec) == (-27, 2**63)
 
     @pytest.mark.parametrize("make", [
         lambda: ea.FullInterval(P=0, k=3),
@@ -326,12 +346,12 @@ class TestExactMoment:
     def test_negative_elements_property(self, neg, rest, k, s):
         elements = tuple(sorted(neg | rest))
         mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2 * s))
-        assert round(mom) == ac.brute_force_s_count(elements, s, k)
+        assert round(mom) == brute_force_s_count(elements, s, k)
 
     @pytest.mark.parametrize("elements,k,S", [((-5, 1), 2, 2), ((-5, -1), 3, 2)])
     def test_negative_elements_pinned(self, elements, k, S):
         mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2))
-        assert round(mom) == S == ac.brute_force_s_count(elements, 1, k)
+        assert round(mom) == S == brute_force_s_count(elements, 1, k)
 
     def test_one_inverse_fft_per_distinct_factor(self, monkeypatch):
         calls = []
