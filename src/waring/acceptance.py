@@ -16,6 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from . import aux_count, bound_engine, differences, expsum_arcs, smooth_sets
 
@@ -223,7 +224,6 @@ def criterion_10(seed: int = 0, quick: bool = False) -> CriterionResult:
     for k in range(1, 9):
         for i in range(1, k + 1):
             if 9**i <= 800:
-                from itertools import product as iproduct
                 combos = list(iproduct(*([[1, 2, 3]] * i + [[2, 3, 5]] * i)))
                 combos = [(c[:i], c[i:]) for c in combos]
             else:

@@ -3,10 +3,14 @@
 modified_diff(phi, h, m) is (phi(x + hm) - phi(x)) / m, built in one pass
 over the coefficients.  With t = hm, phi(x + t) - phi(x) has coefficient
 sum_{j>i} c_j C(j, i) t^(j-i) at x^i; every term has j > i, so it carries a
-factor t = hm, and cancelling m leaves sum_{j>i} c_j C(j, i) h t^(j-i-1).
-That is exact, and m = 1 is the forward difference.  Chaining modified
-differences with moduli p_j^k against x^k yields the polynomials psi_i of
-degree k - i with leading coefficient k(k-1)...(k-i+1) * h_1...h_i.
+factor t = hm, and cancelling m leaves h * sum_{j>i} c_j C(j, i) t^(j-i-1).
+That is exact, and m = 1 is the forward difference.  The inner sum is
+evaluated in Horner form in t, reading the binomials from a cached table of
+Pascal columns per degree.  Chaining modified differences with moduli p_j^k
+against x^k yields the polynomials psi_i of degree k - i with leading
+coefficient k(k-1)...(k-i+1) * h_1...h_i; psi runs the chain on plain
+lists, takes its first level in the closed form h C(k, j) t^(k-j-1), and
+wraps one polynomial at the end.
 
 lemma7_terms evaluates the two competing terms U_i, V_i of the nested-sum
 estimate in log space; with power-law model counts and a balanced
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, product
 
 from .errors import BudgetError, DomainError
@@ -74,6 +79,25 @@ def _index(v) -> int:
         raise DomainError(f"{v!r} is not an integer") from None
 
 
+@cache
+def _pascal(d: int) -> tuple:
+    """For each i < d, the binomials C(j, i) for j = d down to i + 1."""
+    return tuple(tuple(math.comb(j, i) for j in range(d, i, -1))
+                 for i in range(d))
+
+
+def _diff(cs, h: int, t: int) -> list:
+    """Coefficients h * sum_{j>i} c_j C(j, i) t^(j-i-1), i = 0..deg - 1,
+    each sum in Horner form in t."""
+    rc, out = cs[::-1], []
+    for col in _pascal(len(cs) - 1):
+        acc = 0
+        for c, b in zip(rc, col):   # c_d .. c_{i+1} against C(d, i) .. C(i+1, i)
+            acc = acc * t + c * b
+        out.append(h * acc)
+    return out
+
+
 def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
     """(phi(x + h*m) - phi(x)) / m in one pass over the coefficients.
 
@@ -84,16 +108,7 @@ def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
     h, m = _index(h), _index(m)
     if m < 1 or h < 1:
         raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
-    t = h * m
-    cs = phi.coeffs
-    out = []
-    for i in range(len(cs) - 1):
-        acc, step = 0, h  # step = h * t^(j-i-1)
-        for j in range(i + 1, len(cs)):
-            acc += cs[j] * math.comb(j, i) * step
-            step *= t
-        out.append(acc)
-    return IntPolynomial.make(out)
+    return IntPolynomial.make(_diff(phi.coeffs, h, h * m))
 
 
 @dataclass(frozen=True)
@@ -124,9 +139,15 @@ def psi(k: int, h, p) -> DiffChain:
         if not is_prime(v):
             raise DomainError(f"{v} is not prime")
     moduli = tuple(v**k for v in p)
-    poly = IntPolynomial.x_power(k)
-    for hj, mj in zip(h, moduli):
-        poly = modified_diff(poly, hj, mj)
+    if h:   # first level in closed form: coefficient j is h C(k, j) t^(k-j-1)
+        t = h[0] * moduli[0]
+        cs = [col[0] * h[0] * t ** (k - 1 - j)
+              for j, col in enumerate(_pascal(k))]
+    else:
+        cs = IntPolynomial.x_power(k).coeffs
+    for hj, mj in zip(h[1:], moduli[1:]):
+        cs = _diff(cs, hj, hj * mj)
+    poly = IntPolynomial.make(cs)
     expected_lead = math.prod(range(k - i + 1, k + 1)) * math.prod(h)
     assert poly.degree == k - i and poly.leading == expected_lead
     return DiffChain(k=k, h=h, p=p, moduli=moduli, result=poly)

@@ -9,7 +9,9 @@ estimate, since odd absolute powers are not trigonometric polynomials.
 
 Rational classification walks the continued-fraction convergents of alpha:
 for arc radii below 1/(2q^2) every covering fraction is a convergent, so the
-first covering convergent is the major-arc label with smallest q.
+first covering convergent is the major-arc label with smallest q.  Alpha
+and tau are read as exact integer ratios and each convergent is tested by
+integer cross-multiplication, so an arc edge is decided exactly.
 
 Every set-backed sum (FullInterval, SetPowers, SinglePrime, PrimeSmooth) is
 one product form, the sum of e((m x)^k alpha) over multipliers m and
@@ -177,8 +179,8 @@ class Major(NamedTuple):
 class ArcDissection:
     """Rational-neighborhood structure on [1/tau, 1 + 1/tau], tau = 2k P^(k-1).
 
-    Wide arcs: center a/q, radius 1/(q tau), for q <= P.  Narrow arcs:
-    radius W/(q tau P) for q <= W, with W <= P (default sqrt(P)).
+    Major arcs: center a/q, radius 1/(q tau), for q <= P; the minor arcs are
+    the rest.  W (default sqrt(P), at most P) is carried for the arcs header.
     """
 
     P: float
@@ -202,26 +204,16 @@ class ArcDissection:
         return ArcDissection(P=float(P), k=k, tau=tau, Q_major=math.floor(P),
                              W=float(W), interval=(1 / tau, 1 + 1 / tau))
 
-    def _raw_arcs(self, qmax: int, radius_of_q) -> list:
-        arcs = []
-        for q in range(1, qmax + 1):
-            r = radius_of_q(q)
-            for a in range(1, q + 1):
-                if math.gcd(a, q) == 1:
-                    arcs.append((q, a, a / q, r))
-        return arcs
-
     def raw_major_arcs(self) -> list:
-        """(q, a, center, halfwidth) for the wide family, unmerged."""
-        return self._raw_arcs(self.Q_major, lambda q: 1 / (q * self.tau))
+        """(q, a, center, halfwidth) for each major arc, unmerged."""
+        return [(q, a, a / q, 1 / (q * self.tau))
+                for q in range(1, self.Q_major + 1)
+                for a in range(1, q + 1) if math.gcd(a, q) == 1]
 
-    def raw_narrow_arcs(self) -> list:
-        return self._raw_arcs(math.floor(self.W),
-                              lambda q: self.W / (q * self.tau * self.P))
-
-    def _merged(self, raw) -> list:
+    def major_intervals(self) -> list:
         lo0, hi0 = self.interval
-        ivs = sorted((max(c - r, lo0), min(c + r, hi0)) for (_, _, c, r) in raw)
+        ivs = sorted((max(c - r, lo0), min(c + r, hi0))
+                     for (_, _, c, r) in self.raw_major_arcs())
         merged = []
         for lo, hi in ivs:
             if hi <= lo:
@@ -232,47 +224,24 @@ class ArcDissection:
                 merged.append((lo, hi))
         return merged
 
-    def major_intervals(self) -> list:
-        return self._merged(self.raw_major_arcs())
-
-    def narrow_intervals(self) -> list:
-        return self._merged(self.raw_narrow_arcs())
-
     def minor_intervals(self) -> list:
-        return _subtract(self.interval, self.major_intervals())
-
-    def major_minus_narrow_intervals(self) -> list:
-        narrow = self.narrow_intervals()
+        """Parts of the base interval outside the major arcs."""
         out = []
+        cur, end = self.interval
         for lo, hi in self.major_intervals():
-            out.extend(_subtract((lo, hi), narrow))
+            if lo > cur:
+                out.append((cur, lo))
+            cur = max(cur, hi)
+        if cur < end:
+            out.append((cur, end))
         return out
 
     def region_intervals(self, region: str) -> list:
-        table = {
-            "major": self.major_intervals,
-            "narrow": self.narrow_intervals,
-            "minor": self.minor_intervals,
-            "major_minus_narrow": self.major_minus_narrow_intervals,
-        }
-        if region not in table:
-            raise DomainError(f"unknown region {region!r}")
-        return table[region]()
-
-
-def _subtract(interval, ivs) -> list:
-    """Parts of interval not covered by the sorted, disjoint ivs."""
-    out = []
-    cur = interval[0]
-    for lo, hi in ivs:
-        if hi <= interval[0] or lo >= interval[1]:
-            continue
-        if lo > cur:
-            out.append((cur, lo))
-        cur = max(cur, hi)
-    if cur < interval[1]:
-        out.append((cur, interval[1]))
-    return out
+        if region == "major":
+            return self.major_intervals()
+        if region == "minor":
+            return self.minor_intervals()
+        raise DomainError(f"unknown region {region!r}")
 
 
 def _convergents(num: int, den: int):
@@ -285,33 +254,26 @@ def _convergents(num: int, den: int):
         yield p1, q1
 
 
-def classify(alpha: float, d: ArcDissection, which: str = "M") -> Major | None:
-    """Smallest-q arc label covering alpha, or None for the complement.
+def classify(alpha: float, d: ArcDissection) -> Major | None:
+    """Smallest-q major-arc label (q <= P, radius 1/(q tau)) covering alpha,
+    or None for the minor arcs.
 
-    which="M" classifies against the wide arcs (q <= P, radius 1/(q tau));
-    which="N" against the narrow arcs (q <= W, radius W/(q tau P)).  The
-    returned label is re-verified against its defining inequality.
+    alpha = num/den and tau = tn/td are read exactly as integer ratios, and
+    a convergent a/q covers alpha when |num q - a den| tn <= td den, the
+    arc inequality cross-multiplied.  A returned label is re-checked once
+    against that inequality in Fractions.
     """
-    if which not in ("M", "N"):
-        raise DomainError(f"which must be 'M' or 'N', got {which!r}")
     lo0, hi0 = d.interval
     if not lo0 - 1e-12 <= alpha <= hi0 + 1e-12:
         raise DomainError(f"alpha={alpha} outside the base interval")
-    if which == "M":
-        qmax, scale = d.Q_major, Fraction(1)
-    else:
-        qmax, scale = math.floor(d.W), Fraction(d.W) / Fraction(d.P)
-    tau = Fraction(d.tau)
-    exact_alpha = Fraction(alpha)
-    num, den = exact_alpha.as_integer_ratio()
+    num, den = alpha.as_integer_ratio()
+    tn, td = d.tau.as_integer_ratio()
     for a, q in _convergents(num, den):
-        if q > qmax:
+        if q > d.Q_major:
             break
-        if not 1 <= a <= q:
-            continue
-        radius = scale / (q * tau)
-        if abs(exact_alpha - Fraction(a, q)) <= radius:
-            assert abs(alpha - a / q) <= float(radius) * (1 + 1e-12)
+        if 1 <= a <= q and abs(num * q - a * den) * tn <= td * den:
+            assert (abs(Fraction(alpha) - Fraction(a, q))
+                    <= 1 / (q * Fraction(d.tau)))
             return Major(q=q, a=a)
     return None
 
@@ -502,7 +464,7 @@ def weyl_ratio(P: int, k: int, policy: SamplingPolicy = SamplingPolicy()) -> Wey
     n_minor = 0
     cands = policy.candidates(d)
     for alpha in cands:
-        if classify(alpha, d, "M") is not None:
+        if classify(alpha, d) is not None:
             continue
         n_minor += 1
         ratio = abs(eval_at(spec, alpha)) / scale

@@ -1,6 +1,8 @@
 """Reference routes that share no code with the fast paths they check."""
 
+import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 
@@ -9,3 +11,22 @@ def brute_force_s_count(X, s: int, k: int) -> int:
     s-tuple's sum, then the squared multiplicity of each sum."""
     sums = Counter(map(sum, product([x**k for x in sorted(set(X))], repeat=s)))
     return sum(c * c for c in sums.values())
+
+
+def classify_exact(alpha, d):
+    """Smallest-q major-arc label of alpha in d, found in Fractions: walk the
+    continued-fraction convergents of alpha and return the first a/q with
+    q <= P, 1 <= a <= q and |alpha - a/q| <= 1/(q tau)."""
+    exact_alpha, tau = Fraction(alpha), Fraction(d.tau)
+    x = exact_alpha
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > d.Q_major:
+            return None
+        if 1 <= p1 <= q1 and abs(exact_alpha - Fraction(p1, q1)) <= 1 / (q1 * tau):
+            return (q1, p1)
+        if x == a:
+            return None
+        x = 1 / (x - a)

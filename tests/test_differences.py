@@ -15,6 +15,8 @@ from waring.errors import BudgetError, DomainError
 
 X3 = df.IntPolynomial.x_power(3)
 X2 = df.IntPolynomial.x_power(2)
+PRIMES_TO_101 = [p for p in range(2, 102)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 # The shift / subtract / exact-divide route that modified_diff replaced,
@@ -219,10 +221,10 @@ class TestPsi:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_literal_nested_difference(self, data):
-        k = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, 14))
         i = data.draw(st.integers(0, k))
-        h = data.draw(st.lists(st.integers(1, 5), min_size=i, max_size=i))
-        p = data.draw(st.lists(st.sampled_from([2, 3, 5, 7]),
+        h = data.draw(st.lists(st.integers(1, 50), min_size=i, max_size=i))
+        p = data.draw(st.lists(st.sampled_from(PRIMES_TO_101),
                                min_size=i, max_size=i))
         x = data.draw(st.integers(-10**4, 10**4))
         ms = [v**k for v in p]

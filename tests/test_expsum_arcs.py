@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_s_count
+from oracles import brute_force_s_count, classify_exact
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
 from waring.errors import BudgetError, DomainError
@@ -226,52 +226,61 @@ class TestClassify:
         return best
 
     def test_exact_rational_center(self):
-        assert ea.classify(0.5, self.d, "M") == ea.Major(q=2, a=1)
+        assert ea.classify(0.5, self.d) == ea.Major(q=2, a=1)
 
     def test_golden_ratio_minor(self):
-        assert ea.classify((math.sqrt(5) - 1) / 2, self.d, "M") is None
+        assert ea.classify((math.sqrt(5) - 1) / 2, self.d) is None
 
     def test_agrees_with_direct_scan(self):
         rng = random.Random(6)
         tau = self.d.tau
         for _ in range(300):
             alpha = 1 / tau + rng.random()
-            got = ea.classify(alpha, self.d, "M")
+            got = ea.classify(alpha, self.d)
             want = self.brute(alpha, 10, lambda q: 1 / (q * tau))
             assert got == (ea.Major(*want) if want else None)
-
-    def test_narrow_classification(self):
-        d = ea.ArcDissection.make(10, 3, W=4.0)
-        rng = random.Random(8)
-        for _ in range(200):
-            alpha = d.interval[0] + rng.random()
-            got = ea.classify(alpha, d, "N")
-            want = self.brute(alpha, 4, lambda q: 4.0 / (q * d.tau * 10))
-            assert got == (ea.Major(*want) if want else None)
-
-    def test_narrow_inside_wide(self):
-        d = ea.ArcDissection.make(12, 3)
-        rng = random.Random(10)
-        for _ in range(200):
-            alpha = d.interval[0] + rng.random()
-            if ea.classify(alpha, d, "N") is not None:
-                assert ea.classify(alpha, d, "M") is not None
 
     def test_label_satisfies_inequality(self):
         rng = random.Random(12)
         for _ in range(100):
             alpha = self.d.interval[0] + rng.random()
-            label = ea.classify(alpha, self.d, "M")
+            label = ea.classify(alpha, self.d)
             if label:
                 assert abs(alpha - label.a / label.q) <= 1 / (label.q * self.d.tau) * (1 + 1e-12)
 
     def test_outside_interval(self):
         with pytest.raises(DomainError):
-            ea.classify(-0.5, self.d, "M")
+            ea.classify(-0.5, self.d)
 
-    def test_bad_which(self):
-        with pytest.raises(DomainError):
-            ea.classify(0.5, self.d, "X")
+    def test_covered_arc_edge(self):
+        # inside the arc of 17/18 exactly, outside it after float rounding
+        d = ea.ArcDissection.make(50, 3)
+        assert ea.classify(0.9444481481481481, d) == ea.Major(q=18, a=17)
+
+    def test_arcs_are_closed(self):
+        # tau = 32: for q a power of two, a/q +- 1/(q tau) is a double exactly
+        d = ea.ArcDissection.make(8, 2)
+        for q in (1, 2, 4, 8):
+            for a in range(1, q + 1, 2):
+                for alpha in (a / q - 1 / (q * 32), a / q + 1 / (q * 32)):
+                    if d.interval[0] <= alpha <= d.interval[1]:
+                        assert ea.classify(alpha, d) == ea.Major(q=q, a=a)
+                        assert classify_exact(alpha, d) == (q, a)
+
+    @pytest.mark.parametrize("P", [10, 12, 50, 200, 1000, 37.5])
+    def test_matches_exact_oracle(self, P):
+        d = ea.ArcDissection.make(P, 3)
+        rng = random.Random(P)
+        alphas = [d.interval[0] + rng.random() for _ in range(300)]
+        for q in range(1, min(d.Q_major, 40) + 1):
+            for a in (a for a in range(1, q + 1) if math.gcd(a, q) == 1):
+                for s in (1, 0.999999, 1.0000001):
+                    alphas += [a / q - s / (q * d.tau), a / q + s / (q * d.tau)]
+        lo, hi = d.interval
+        for alpha in alphas:
+            if lo <= alpha <= hi:
+                want = classify_exact(alpha, d)
+                assert ea.classify(alpha, d) == (ea.Major(*want) if want else None)
 
 
 class TestDissection:
@@ -293,17 +302,6 @@ class TestDissection:
                                 for a in range(1, q + 1) if math.gcd(a, q) == 1)
         for q, a, center, hw in arcs:
             assert center == a / q and hw == 1 / (q * d.tau)
-
-    def test_narrow_equals_major_when_w_is_p(self):
-        d = ea.ArcDissection.make(10, 3, W=10.0)
-        assert d.narrow_intervals() == d.major_intervals()
-
-    def test_major_minus_narrow_disjoint_from_narrow(self):
-        d = ea.ArcDissection.make(10, 3)
-        narrow = d.narrow_intervals()
-        for lo, hi in d.major_minus_narrow_intervals():
-            for nlo, nhi in narrow:
-                assert hi <= nlo + 1e-15 or lo >= nhi - 1e-15
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -428,15 +426,6 @@ class TestArcMoment:
                               samples_per_arc=256)
         assert abs(exact - major.value - minor.value) <= 0.02 * exact
         assert major.err_est >= 0 and minor.err_est >= 0
-
-    def test_narrow_equals_major_at_w_equals_p(self):
-        d = ea.ArcDissection.make(10, 3, W=10.0)
-        m_major = ea.arc_moment(ea.abs_power(self.spec, 4, "major"), d,
-                                samples_per_arc=64)
-        m_narrow = ea.arc_moment(ea.abs_power(self.spec, 4, "narrow"), d,
-                                 samples_per_arc=64)
-        assert m_narrow.value <= m_major.value * 1.02
-        assert m_narrow.value == pytest.approx(m_major.value, rel=1e-12)
 
     def test_odd_power_allowed(self):
         res = ea.arc_moment(ea.abs_power(self.spec, 5, "major"), self.d,
