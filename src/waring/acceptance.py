@@ -295,17 +295,14 @@ def report_lines(results) -> list:
     return out
 
 
-def criterion_14(seed: int = 0, quick: bool = False,
-                 first: list | None = None) -> CriterionResult:
+def criterion_14(first: list, seed: int = 0,
+                 quick: bool = False) -> CriterionResult:
     """Two runs with one seed produce byte-identical report bodies.
 
     `first` is a run of criteria 1..13 already made with this seed and mode
     (run_all passes the run it reports); it is compared with one fresh run.
-    Without it, both runs are made here.
     """
     t0 = time.perf_counter()
-    if first is None:
-        first = run_criteria(seed=seed, quick=quick)
     first_body = "\n".join(report_lines(first))
     second_body = "\n".join(report_lines(run_criteria(seed=seed, quick=quick)))
     ok = first_body == second_body
@@ -320,5 +317,5 @@ def run_criteria(seed: int = 0, quick: bool = False) -> list:
 
 def run_all(seed: int = 0, quick: bool = False) -> list:
     results = run_criteria(seed=seed, quick=quick)
-    results.append(criterion_14(seed=seed, quick=quick, first=results))
+    results.append(criterion_14(results, seed=seed, quick=quick))
     return results

@@ -28,7 +28,7 @@ route and shares no code with the fast path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -357,22 +357,6 @@ def brute_force_t_pq(E, s: int, k: int, p: int, q: int) -> int:
                for lx in sums for ly in sums for x in E for y in E)
 
 
-def lemma1_sides(inner_elements, window: smooth_sets.PrimeWindow, s: int,
-                 k: int, P: float,
-                 budget_ops: int = DEFAULT_BUDGET) -> Lemma1Report:
-    """Both sides of the one-level count estimate, from explicit pieces."""
-    inner = tuple(sorted(set(inner_elements)))
-    outer = smooth_sets.build_single(inner, window)
-    Z = window.Z
-    lhs = s_count(outer.elements, s, k, budget_ops=budget_ops).S
-    rhs = (Z**s * s_count(inner, s, k, budget_ops=budget_ops).S
-           + Z ** (2 * s) * math.floor(P)
-           * s_count(inner, s - 1, k, budget_ops=budget_ops).S)
-    return Lemma1Report(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Z=Z,
-                        inner_size=len(inner), outer_size=len(outer.elements),
-                        P=float(P), theta=math.nan, base_levels=-1)
-
-
 def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
                  budget_ops: int = DEFAULT_BUDGET) -> Lemma1Report:
     """Compare the exact count over one product level against its estimate.
@@ -382,14 +366,20 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
     outer set, and reports lhs = S_s(outer) against
     rhs = Z^s S_s(inner) + Z^(2s) floor(P) S_{s-1}(inner).
     """
-    inner = smooth_sets.build_single_levels(k, P, theta, base_levels)
+    inner = smooth_sets.build_single_levels(k, P, theta, base_levels).elements
     window = smooth_sets.window_for_size(P**theta)
     if not window.primes:
         raise DomainError(
             f"no primes in the top window [{window.lo}, {window.hi}]")
-    report = lemma1_sides(inner.elements, window, s, k, P,
-                          budget_ops=budget_ops)
-    return replace(report, theta=theta, base_levels=base_levels)
+    outer = smooth_sets.build_single(inner, window).elements
+    Z = window.Z
+    lhs = s_count(outer, s, k, budget_ops=budget_ops).S
+    rhs = (Z**s * s_count(inner, s, k, budget_ops=budget_ops).S
+           + Z ** (2 * s) * math.floor(P)
+           * s_count(inner, s - 1, k, budget_ops=budget_ops).S)
+    return Lemma1Report(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Z=Z,
+                        inner_size=len(inner), outer_size=len(outer),
+                        P=float(P), theta=theta, base_levels=base_levels)
 
 
 def exponent_fit(runs) -> ExponentFit:

@@ -13,11 +13,11 @@ first covering convergent is the major-arc label with smallest q.  Alpha
 and tau are read as exact integer ratios and each convergent is tested by
 integer cross-multiplication, so an arc edge is decided exactly.
 
-Every set-backed sum (FullInterval, SetPowers, SinglePrime, PrimeSmooth) is
-one product form, the sum of e((m x)^k alpha) over multipliers m and
-elements x.  In one moment call each distinct factor spec is evaluated once
-(an inverse FFT of its grid counts, or its sum at the arc samples), and F
-and conj(F) share it.
+Both set-backed sums, FullInterval and PrimeSmooth, are one product form,
+the sum of e((m x)^k alpha) over multipliers m and elements x.  In one
+moment call each distinct factor spec is evaluated once (an inverse FFT of
+its grid counts, or its sum at the arc samples), and F and conj(F) share it.
+Arc moments integrate |F|^p, so their odd powers need no conjugate pair.
 """
 
 from __future__ import annotations
@@ -49,43 +49,35 @@ class FullInterval:
     P: int
     k: int
 
-
-@dataclass(frozen=True)
-class SetPowers:
-    """g(alpha) = sum_{x in elements} e(x^k alpha)."""
-    elements: tuple
-    k: int
-
-
-@dataclass(frozen=True)
-class SinglePrime:
-    """f(alpha, p) = sum_{x in elements} e(p^k x^k alpha)."""
-    elements: tuple
-    p: int
-    k: int
+    def __post_init__(self):
+        _product_form(self)
 
 
 @dataclass(frozen=True)
 class PrimeSmooth:
-    """h(alpha) = sum over primes X/2 < p <= X and x in inner of e(p^k x^k alpha),
-    with X = floor(sqrt(P))."""
+    """h(alpha) = sum over p in primes and x in elements of e(p^k x^k alpha).
+
+    make(k, P) takes the primes X/2 < p <= X and the elements 1..X, with
+    X = floor(sqrt(P)); built directly, any multipliers and elements serve.
+    """
     k: int
     P: float
     primes: tuple
     elements: tuple
 
+    def __post_init__(self):
+        _product_form(self)
+
     @staticmethod
-    def make(k: int, P: float, inner=None) -> "PrimeSmooth":
+    def make(k: int, P: float) -> "PrimeSmooth":
         from . import smooth_sets
         X = math.floor(math.sqrt(P))
         if X < 2:
             raise DomainError(f"P={P} too small: sqrt window below 2")
         win = smooth_sets.primes_in(2, X)
-        primes = tuple(p for p in win.primes if 2 * p > X)
-        if inner is None:
-            inner = range(1, X + 1)
-        return PrimeSmooth(k=k, P=float(P), primes=primes,
-                           elements=tuple(sorted(set(inner))))
+        return PrimeSmooth(k=k, P=float(P),
+                           primes=tuple(p for p in win.primes if 2 * p > X),
+                           elements=tuple(range(1, X + 1)))
 
 
 @dataclass(frozen=True)
@@ -102,22 +94,21 @@ class DifferenceSum:
                                   self.x_range)
 
 
-ExpSumSpec = Union[FullInterval, SetPowers, SinglePrime, PrimeSmooth,
-                   DifferenceSum]
+ExpSumSpec = Union[FullInterval, PrimeSmooth, DifferenceSum]
 
 
 def _product_form(spec) -> tuple:
-    """(multipliers, elements) of a set-backed spec, both nonempty."""
+    """(multipliers, elements) of a set-backed spec, both nonempty; k must be
+    an int >= 1 and FullInterval.P an int.  Specs run this on construction,
+    as FullInterval(5, 2.0) == FullInterval(5, 2) hits frequencies' cache."""
     if isinstance(spec, FullInterval):
-        ms, xs = (1,), range(1, spec.P + 1)
-    elif isinstance(spec, SetPowers):
-        ms, xs = (1,), spec.elements
-    elif isinstance(spec, SinglePrime):
-        ms, xs = (spec.p,), spec.elements
+        ms, xs = (1,), range(1, differences._index(spec.P) + 1)
     elif isinstance(spec, PrimeSmooth):
         ms, xs = spec.primes, spec.elements
     else:
         raise DomainError(f"unknown spec {spec!r}")
+    if differences._index(spec.k) < 1:
+        raise DomainError(f"k must be >= 1, got {spec.k}")
     if not ms or not xs:
         raise DomainError(f"{type(spec).__name__} sum has no terms")
     return ms, xs
@@ -180,7 +171,7 @@ class ArcDissection:
     """Rational-neighborhood structure on [1/tau, 1 + 1/tau], tau = 2k P^(k-1).
 
     Major arcs: center a/q, radius 1/(q tau), for q <= P; the minor arcs are
-    the rest.  W (default sqrt(P), at most P) is carried for the arcs header.
+    the rest.  W = sqrt(P) is carried for the arcs header.
     """
 
     P: float
@@ -191,18 +182,15 @@ class ArcDissection:
     interval: tuple
 
     @staticmethod
-    def make(P: float, k: int, W: float | None = None) -> "ArcDissection":
+    def make(P: float, k: int) -> "ArcDissection":
+        k = differences._index(k)
         if k < 2:
             raise DomainError(f"k must be >= 2, got {k}")
-        if P < 2:
-            raise DomainError(f"P must be >= 2, got {P}")
+        if not 2 <= P < math.inf:
+            raise DomainError(f"P must be finite and >= 2, got {P}")
         tau = 2 * k * P ** (k - 1)
-        if W is None:
-            W = math.sqrt(P)
-        if not 1 <= W <= P:
-            raise DomainError(f"W must lie in [1, P], got {W}")
         return ArcDissection(P=float(P), k=k, tau=tau, Q_major=math.floor(P),
-                             W=float(W), interval=(1 / tau, 1 + 1 / tau))
+                             W=math.sqrt(P), interval=(1 / tau, 1 + 1 / tau))
 
     def raw_major_arcs(self) -> list:
         """(q, a, center, halfwidth) for each major arc, unmerged."""
@@ -298,7 +286,6 @@ class MomentSpec:
     factors: tuple
     region: str = "full"
     target: int | None = None      # insert e(-target * alpha)
-    absolute: bool = True
 
 
 def abs_power(spec: ExpSumSpec, power: int, region: str = "full") -> MomentSpec:
@@ -308,14 +295,12 @@ def abs_power(spec: ExpSumSpec, power: int, region: str = "full") -> MomentSpec:
         factors = (MomentFactor(spec, half, False), MomentFactor(spec, half, True))
     else:
         factors = (MomentFactor(spec, power, False),)
-    return MomentSpec(factors=factors, region=region, absolute=True)
+    return MomentSpec(factors=factors, region=region)
 
 
 def _frequency_span(m: MomentSpec) -> int:
-    span = sum(f.exponent * max_frequency(f.spec) for f in m.factors)
-    if m.target is not None:
-        span += abs(m.target)
-    return span
+    return (sum(f.exponent * max_frequency(f.spec) for f in m.factors)
+            + abs(m.target or 0))
 
 
 def _conjugate_paired(m: MomentSpec) -> bool:
@@ -345,9 +330,9 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     """Mean of the factor product over a grid finer than its frequency span.
 
     Exact for the full-interval integral of the trigonometric polynomial,
-    so counting moments land on integers to rounding.  Absolute-value
-    moments must be expressed through conjugate pairs (|F|^(2s)); odd
-    absolute powers are not polynomials and are rejected.  Both grid sums
+    so counting moments land on integers to rounding.  Without a target
+    the factors must come in conjugate pairs (|F|^(2s), |F|^2 |G|^2, ...);
+    odd absolute powers are not polynomials and are rejected.  Both grid sums
     (the real part and the imaginary part the realness check reads) are
     phases.exact_sum: the exact sum of the grid values rounded once, the
     double math.fsum gives, so the result depends only on the grid length
@@ -355,7 +340,7 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     """
     if m.region != "full":
         raise DomainError("exact_moment requires region='full'")
-    if m.absolute and m.target is None and not _conjugate_paired(m):
+    if m.target is None and not _conjugate_paired(m):
         raise DomainError("absolute moments need conjugate-paired factors; "
                           "odd powers only via arc_moment")
     M = _frequency_span(m) + 1
@@ -391,10 +376,11 @@ class ArcMomentResult:
 
 def arc_moment(m: MomentSpec, d: ArcDissection,
                samples_per_arc: int = 64) -> ArcMomentResult:
-    """Composite midpoint quadrature of the moment over an arc region.
+    """Composite midpoint quadrature of |factor product| over an arc region.
 
-    The error estimate is the difference against a half-resolution pass;
-    it is a refinement indicator, not a rigorous bound.
+    A target phase has modulus 1, so it is not applied.  The error estimate
+    is the difference against a half-resolution pass; it is a refinement
+    indicator, not a rigorous bound.
     """
     if m.region == "full":
         raise DomainError("arc_moment requires an arc region; "
@@ -403,26 +389,20 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
         raise DomainError(f"samples_per_arc must be >= 16, got {samples_per_arc}")
     ivs = d.region_intervals(m.region)
 
-    def pass_at(n: int) -> complex:
-        acc = 0j
+    def pass_at(n: int) -> float:
+        acc = 0.0
         for lo, hi in ivs:
             h = (hi - lo) / n
             pts = lo + (np.arange(n) + 0.5) * h
             vals = _factor_product(m, n, lambda freqs: np.exp(
                 2j * np.pi * np.outer(pts, np.array(freqs, dtype=float))).sum(axis=1))
-            if m.target is not None:
-                vals *= np.exp(-2j * np.pi * m.target * pts)
-            if m.absolute:
-                vals = np.abs(vals)
-            acc += complex(exact_sum(vals.real), exact_sum(vals.imag)) * h
+            acc += exact_sum(np.abs(vals)) * h
         return acc
 
     fine = pass_at(samples_per_arc)
     coarse = pass_at(max(8, samples_per_arc // 2))
-    value = fine.real
-    err = abs(fine - coarse) + (abs(fine.imag) if not m.absolute else 0.0)
-    return ArcMomentResult(value=value, err_est=err, region=m.region,
-                           n_intervals=len(ivs),
+    return ArcMomentResult(value=fine, err_est=abs(fine - coarse),
+                           region=m.region, n_intervals=len(ivs),
                            measure=sum(hi - lo for lo, hi in ivs),
                            samples_per_arc=samples_per_arc)
 
@@ -433,14 +413,11 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    """Deterministic low-discrepancy candidates; explicit points override."""
+    """Deterministic low-discrepancy candidates."""
     n_points: int = 512
     seed: int = 0
-    explicit: tuple | None = None
 
     def candidates(self, d: ArcDissection) -> list:
-        if self.explicit is not None:
-            return list(self.explicit)
         offset = random.Random(self.seed).random()
         lo = d.interval[0]
         return [lo + (offset + j * _GOLDEN) % 1.0 for j in range(self.n_points)]

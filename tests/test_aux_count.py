@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracles import brute_force_s_count
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
-from waring import smooth_sets as sm
 from waring.errors import BudgetError, CoprimalityError, DomainError
 
 
@@ -457,12 +456,7 @@ class TestLemma1:
         rep = ac.lemma1_check(3, 2, P, 0.4, base_levels=0)
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
         assert rep.ratio <= 2.0
-
-    def test_degenerate_singleton(self):
-        rep = ac.lemma1_sides([1], sm.PrimeWindow(5, 5, (5,)), 2, 3, 5.0)
-        assert rep.lhs == 1
-        assert rep.rhs >= 1
-        assert rep.ratio <= 1.0
+        assert (rep.theta, rep.base_levels, rep.inner_size) == (0.4, 0, P)
 
     def test_window_required(self):
         # P^theta below 2 leaves no primes to multiply by; theta <= 1/k also

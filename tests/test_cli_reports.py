@@ -590,6 +590,14 @@ class TestArcs:
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
             "93cae0fd3a4b126b095567b743447ed92353fe7e2a04c882ea1d20e1f212968a"
 
+    def test_even_power_rows_pinned_without_seconds(self, capsys, tmp_path):
+        # at k = 4 the |f|^(k+2) = |f|^6 row is a conjugate pair
+        rows = rows_without_seconds(["arcs", "--k", "4", "--P", "10"], capsys,
+                                    tmp_path)
+        assert rows[-1]["params"] == "|f|^6"
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+            "f967fca74c745eb43f79f30d1fcace93c2c7683711862718997708d077f75dff"
+
 
 class TestVerify:
     def test_verify_reports_known_red_criterion(self, capsys, tmp_path):

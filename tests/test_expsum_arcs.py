@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -47,14 +48,15 @@ class TestEval:
 
     def test_triangle_bound(self):
         rng = random.Random(4)
-        spec = ea.SetPowers(elements=tuple(range(3, 40, 2)), k=4)
+        spec = ea.PrimeSmooth(k=4, P=100.0, primes=(3,),
+                              elements=tuple(range(3, 40, 2)))
         n = ea.term_count(spec)
         for _ in range(10):
             assert abs(ea.eval_at(spec, rng.random())) <= n + 1e-9
 
     def test_single_prime_scaling(self):
-        base = ea.SetPowers(elements=(1, 2, 5), k=3)
-        scaled = ea.SinglePrime(elements=(1, 2, 5), p=7, k=3)
+        base = ea.FullInterval(P=5, k=3)
+        scaled = ea.PrimeSmooth(k=3, P=100.0, primes=(7,), elements=(1, 2, 3, 4, 5))
         a = 0.125 / 343
         assert ea.eval_at(scaled, a) == pytest.approx(
             ea.eval_at(base, 0.125), abs=1e-9)
@@ -119,23 +121,25 @@ class TestSpecs:
         assert ea.max_frequency(spec) == max(freqs)
 
     @pytest.mark.parametrize("spec", [
-        ea.SetPowers(elements=(-5, 1), k=2),
-        ea.SetPowers(elements=(-5, -1), k=3),
-        ea.SinglePrime(elements=(-4, 3), p=5, k=3),
-        ea.PrimeSmooth.make(3, 100.0, inner=(-10, -2, 3))])
+        ea.PrimeSmooth(k=2, P=100.0, primes=(3,), elements=(-5, 1)),
+        ea.PrimeSmooth(k=3, P=100.0, primes=(2,), elements=(-5, -1)),
+        ea.PrimeSmooth(k=3, P=100.0, primes=(5,), elements=(-4, 3)),
+        ea.PrimeSmooth(k=3, P=100.0, primes=(7,), elements=(-10, -2, 3))])
     def test_max_frequency_of_mixed_signs(self, spec):
         assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
-            ea.frequencies(ea.SetPowers(elements=(), k=3))
+            ea.frequencies(ea.PrimeSmooth(k=3, P=100.0, primes=(), elements=()))
 
-    # each spec kind against its frequencies written out by hand, in order
+    # each spec kind, and unsorted signed sets times one prime, against its
+    # frequencies written out by hand, in order
     @pytest.mark.parametrize("spec,freqs", [
         (ea.FullInterval(P=4, k=3), [x**3 for x in range(1, 5)]),
-        (ea.SetPowers(elements=(-3, 2, -1), k=3), [-27, 8, -1]),
-        (ea.SetPowers(elements=(-5, 1), k=2), [25, 1]),
-        (ea.SinglePrime(elements=(-4, 3), p=5, k=3),
+        (ea.PrimeSmooth(k=3, P=100.0, primes=(2,), elements=(-3, 2, -1)),
+         [-216, 64, -8]),
+        (ea.PrimeSmooth(k=2, P=100.0, primes=(3,), elements=(-5, 1)), [225, 9]),
+        (ea.PrimeSmooth(k=3, P=100.0, primes=(5,), elements=(-4, 3)),
          [5**3 * x**3 for x in (-4, 3)]),
         (ea.PrimeSmooth(k=3, P=100.0, primes=(5, 7), elements=(-2, 1, 3)),
          [p**3 * x**3 for p in (5, 7) for x in (-2, 1, 3)]),
@@ -148,12 +152,14 @@ class TestSpecs:
         assert ea.term_count(spec) == len(ea.frequencies(spec))
         assert ea.max_frequency(spec) == max(map(abs, ea.frequencies(spec)))
 
-    # below 2^63 the table is one int64 outer product raised to the k-th power
+    # below 2^63 the table is one int64 outer product raised to the k-th
+    # power; at the edge the largest |p x| is 2^21 - 1 = 7 * 299593
     @pytest.mark.parametrize("spec", [
         ea.PrimeSmooth.make(3, 1e6),
-        ea.SetPowers(elements=(-9, -4, 0, 3, 7), k=5),
-        ea.SetPowers(elements=(-(2**21 - 1), -2, 2**21 - 1), k=3),
-        ea.SinglePrime(elements=(-(2**19), 3), p=3, k=3),
+        ea.PrimeSmooth(k=5, P=100.0, primes=(2,), elements=(-9, -4, 0, 3, 7)),
+        ea.PrimeSmooth(k=3, P=100.0, primes=(7,),
+                       elements=(-299593, -2, 299593)),
+        ea.PrimeSmooth(k=3, P=100.0, primes=(3,), elements=(-(2**19), 3)),
     ], ids=["prime_smooth", "negatives", "int64_edge", "single_prime"])
     def test_int64_table_equals_tuple_build(self, spec):
         ms, xs = ea._product_form(spec)
@@ -164,13 +170,19 @@ class TestSpecs:
         assert np.array_equal(got, want)
 
     def test_past_int64_stays_a_tuple(self):
-        spec = ea.SetPowers(elements=(-3, 2**21), k=3)
-        assert ea.frequencies(spec) == (-27, 2**63)
+        spec = ea.PrimeSmooth(k=3, P=100.0, primes=(2,), elements=(-3, 2**20))
+        assert ea.max_frequency(spec) == 2**63
+        assert ea.frequencies(spec) == (-216, 2**63)
 
     @pytest.mark.parametrize("make", [
         lambda: ea.FullInterval(P=0, k=3),
-        lambda: ea.SetPowers(elements=(), k=2),
-        lambda: ea.SinglePrime(elements=(), p=3, k=2),
+        lambda: ea.FullInterval(P=5, k=2.0),
+        lambda: ea.FullInterval(P=5, k=-1),
+        lambda: ea.FullInterval(P=5, k=0),
+        lambda: ea.FullInterval(P=2.5, k=3),
+        lambda: ea.PrimeSmooth(k=2.5, P=100.0, primes=(7,), elements=(1, 2)),
+        lambda: ea.PrimeSmooth(k=2, P=100.0, primes=(), elements=()),
+        lambda: ea.PrimeSmooth(k=2, P=100.0, primes=(3,), elements=()),
         lambda: ea.PrimeSmooth(k=3, P=100.0, primes=(), elements=(1, 2)),
         lambda: ea.PrimeSmooth(k=3, P=100.0, primes=(7,), elements=()),
         lambda: ("not", "a spec"),
@@ -194,7 +206,9 @@ class TestSpecs:
         lambda: ea.DifferenceSum(q=0, k=3, H=(2,), windows=((2,),), x_range=3),
         lambda: ea.DifferenceSum(q=-2, k=3, H=(2,), windows=((2,),),
                                  x_range=3),
-    ], ids=["full_P0", "set_empty", "single_prime_empty", "no_primes",
+    ], ids=["full_P0", "full_float_k", "full_negative_k", "full_zero_k",
+            "full_float_P", "prime_smooth_float_k", "set_empty",
+            "single_prime_empty", "no_primes",
             "no_elements", "unknown", "diff_no_level", "diff_zero_step",
             "diff_empty_window", "diff_unequal_lengths", "diff_x_range_0",
             "diff_not_prime", "diff_more_than_k_levels", "diff_float_step",
@@ -304,10 +318,9 @@ class TestDissection:
             assert center == a / q and hw == 1 / (q * d.tau)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            ea.ArcDissection.make(10, 1)
-        with pytest.raises(DomainError):
-            ea.ArcDissection.make(10, 3, W=20.0)
+        for P, k in ((10, 1), (10, 3.0), (1.5, 3), (math.nan, 3), (math.inf, 3)):
+            with pytest.raises(DomainError):
+                ea.ArcDissection.make(P, k)
 
 
 class TestExactMoment:
@@ -322,7 +335,7 @@ class TestExactMoment:
     def test_representation_count_with_target(self):
         m = ea.MomentSpec(
             factors=(ea.MomentFactor(ea.FullInterval(P=5, k=3), 1, False),),
-            target=27, absolute=False)
+            target=27)
         assert ea.exact_moment(m) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_s_count_master_oracle(self):
@@ -342,13 +355,16 @@ class TestExactMoment:
            rest=st.sets(st.integers(-12, 12), max_size=3),
            k=st.integers(1, 3), s=st.integers(1, 2))
     def test_negative_elements_property(self, neg, rest, k, s):
+        # the prime scales every frequency by 2^k and leaves the count alone
         elements = tuple(sorted(neg | rest))
-        mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2 * s))
+        spec = ea.PrimeSmooth(k=k, P=100.0, primes=(2,), elements=elements)
+        mom = ea.exact_moment(ea.abs_power(spec, 2 * s))
         assert round(mom) == brute_force_s_count(elements, s, k)
 
     @pytest.mark.parametrize("elements,k,S", [((-5, 1), 2, 2), ((-5, -1), 3, 2)])
     def test_negative_elements_pinned(self, elements, k, S):
-        mom = ea.exact_moment(ea.abs_power(ea.SetPowers(elements, k), 2))
+        spec = ea.PrimeSmooth(k=k, P=100.0, primes=(3,), elements=elements)
+        mom = ea.exact_moment(ea.abs_power(spec, 2))
         assert round(mom) == S == brute_force_s_count(elements, 1, k)
 
     def test_one_inverse_fft_per_distinct_factor(self, monkeypatch):
@@ -357,12 +373,14 @@ class TestExactMoment:
         monkeypatch.setattr(np.fft, "ifft", lambda a: calls.append(1) or ifft(a))
         mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=10, k=3), 4))
         assert round(mom) == 190 and len(calls) == 1
-        # x^2 = y^3 over [1, 8]^2: (1, 1) and (8, 4)
-        m = ea.MomentSpec(
-            factors=(ea.MomentFactor(ea.FullInterval(P=8, k=2), 1),
-                     ea.MomentFactor(ea.FullInterval(P=8, k=3), 1, True)),
-            absolute=False)
-        assert round(ea.exact_moment(m)) == 2 and len(calls) == 3
+        # |F|^2 |G|^2 counts x^2 + y^3 = u^2 + v^3 over [1, 8]^4
+        F, G = ea.FullInterval(P=8, k=2), ea.FullInterval(P=8, k=3)
+        m = ea.MomentSpec(factors=(
+            ea.MomentFactor(F, 1), ea.MomentFactor(G, 1, True),
+            ea.MomentFactor(F, 1, True), ea.MomentFactor(G, 1)))
+        reps = Counter(x**2 + y**3 for x in range(1, 9) for y in range(1, 9))
+        assert round(ea.exact_moment(m)) == sum(r * r for r in reps.values())
+        assert len(calls) == 3
 
     # float.hex of the grid mean, taken before the grid sums moved from
     # math.fsum to phases.exact_sum; both grids are past its fsum crossover
@@ -376,10 +394,13 @@ class TestExactMoment:
         assert ea.exact_moment(m).hex() == pinned
 
     def test_smooth_set_moment(self):
-        elements = (2, 3, 5, 7)
-        S = ac.s_count(elements, 2, 3).S
-        m = ea.abs_power(ea.SetPowers(elements=elements, k=3), 4)
-        assert ea.exact_moment(m) == pytest.approx(S, abs=1e-6)
+        # p in {5, 7} and x in [1, 8]; the products keep their multiplicity
+        spec = ea.PrimeSmooth.make(3, 64.0)
+        prods = [p * x for p in spec.primes for x in spec.elements]
+        reps = Counter(a**3 + b**3 for a in prods for b in prods)
+        m = ea.abs_power(spec, 4)
+        assert ea.exact_moment(m) == pytest.approx(
+            sum(r * r for r in reps.values()), abs=1e-6)
 
     def test_odd_absolute_power_rejected(self):
         m = ea.abs_power(ea.FullInterval(P=4, k=3), 5)
@@ -402,7 +423,7 @@ class TestExactMoment:
         d = ea.ArcDissection.make(5, 3)
         with pytest.raises(DomainError):
             ea.exact_moment(ea.MomentSpec(
-                factors=(ea.MomentFactor(spec, exponent),), absolute=False))
+                factors=(ea.MomentFactor(spec, exponent),)))
         with pytest.raises(DomainError):
             ea.arc_moment(ea.MomentSpec(factors=(ea.MomentFactor(spec, exponent),),
                                         region="major"), d, samples_per_arc=64)
@@ -459,17 +480,32 @@ class TestWeylRatio:
         assert 0 < r200.max_ratio <= 2 * r50.max_ratio
 
     def test_major_candidates_rejected(self):
-        # 1/2 is the exact center of a wide arc: never counted as minor
-        policy = ea.SamplingPolicy(explicit=(0.5,))
+        # seed 21 draws one candidate, on the major arc of 1/6: never minor
+        policy = ea.SamplingPolicy(n_points=1, seed=21)
+        d = ea.ArcDissection.make(10, 3)
+        [alpha] = policy.candidates(d)
+        assert ea.classify(alpha, d) == ea.Major(q=6, a=1)
         with pytest.raises(DomainError):
             ea.weyl_ratio(10, 3, policy)
 
-    def test_explicit_minor_point_used(self):
-        golden = (math.sqrt(5) - 1) / 2
-        policy = ea.SamplingPolicy(explicit=(0.5, golden))
+    def test_no_candidates_rejected(self):
+        with pytest.raises(DomainError):
+            ea.weyl_ratio(10, 3, ea.SamplingPolicy(n_points=0))
+
+    def test_minor_points_counted(self):
+        policy = ea.SamplingPolicy(n_points=512, seed=2)
+        d = ea.ArcDissection.make(10, 3)
+        minor = [a for a in policy.candidates(d) if ea.classify(a, d) is None]
         rep = ea.weyl_ratio(10, 3, policy)
-        assert rep.n_minor == 1
-        assert rep.argmax_alpha == golden
+        assert (rep.n_minor, rep.n_candidates) == (len(minor), 512)
+        assert 0 < len(minor) < 512
+        assert rep.argmax_alpha in minor
+        assert rep.max_ratio == max(abs(ea.eval_at(ea.FullInterval(P=10, k=3), a))
+                                    for a in minor) / rep.scale
+
+    def test_non_int_k_rejected(self):
+        with pytest.raises(DomainError):
+            ea.weyl_ratio(50, 2.5)
 
     def test_scale_exponent(self):
         rep = ea.weyl_ratio(50, 3, ea.SamplingPolicy(n_points=64, seed=1))
