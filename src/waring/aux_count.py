@@ -19,7 +19,9 @@ memory stays within twice the number of distinct sums plus one block.  A
 split into two equal lists squares one half, forming each unordered pair of
 entries once.  Keys of L > 1 limbs sort once on an int64 lead made from
 their top two limbs, which ascends with the key; a group of equal leads is
-lexsorted only if it holds unequal keys.
+lexsorted only if it holds unequal keys.  At every L reduced tables merge by
+a stable sort, keys and counts move by np.take and np.compress (far faster
+than fancy indexing of the (L, n) keys), and distinct keys skip reduceat.
 
 brute_force_t_pq enumerates tuples directly; it is the independent reference
 route and shares no code with the fast path.
@@ -28,6 +30,7 @@ route and shares no code with the fast path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -150,35 +153,36 @@ def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys ascending, each with the sum of its counts (rows of counts).
 
     Empties the input list of (keys, counts) tables and gathers one array at
-    a time, so the peak stays near twice the input.  Equal keys are summed
-    in any order, so one sort needs no stability, but with one limb
-    ascending tables are runs that a stable sort merges in linear time.
-    With L > 1 limbs one sort orders the keys by their int64 _lead, and only
-    the groups of equal leads that hold unequal keys are then lexsorted in
-    place.  Equal keys, which are sums of distinct tuples, form one run in
-    any order.
+    a time by np.take, so the peak stays near twice the input.  Equal keys
+    (sums of distinct tuples) form one run in any order, so one table sorts
+    unstably; two or more are ascending runs, which at any L a stable sort
+    merges in linear time.  Keys of L > 1 limbs sort on their int64 _lead,
+    then only groups of equal leads holding unequal keys are lexsorted in
+    place.  Keys that all differ are returned without a reduction.
     """
     keys = np.concatenate([k for k, _ in tables], axis=1)
     counts = np.concatenate([c for _, c in tables])
-    kind = "stable" if len(tables) > 1 and len(keys) == 1 else None
+    kind = "stable" if len(tables) > 1 else None
     tables.clear()
     if len(keys) == 1:
         order = np.argsort(keys[0], kind=kind)
     else:
         lead = _lead(keys)
-        order = np.argsort(lead)
-        lead = lead[order]
+        order = np.argsort(lead, kind=kind)
+        lead = np.take(lead, order)
         tied = lead[1:] == lead[:-1]
         del lead  # before the gathers, which set the peak
-    counts = counts[order]
-    keys = keys[:, order]
+    counts = np.take(counts, order, axis=0)
+    keys = np.take(keys, order, axis=1)
     del order
     new = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
     if len(keys) > 1 and (tied & new).any():
         _sort_ties(keys, counts, tied, new)
+    if new.all():
+        return keys, counts
     starts = np.flatnonzero(np.concatenate(([True], new)))
-    counts = np.add.reduceat(counts, starts)
-    return keys[:, starts], counts
+    counts = np.add.reduceat(counts, starts)  # frees the unreduced counts first
+    return np.take(keys, starts, axis=1), counts
 
 
 def _sort_ties(keys: np.ndarray, counts: np.ndarray, tied: np.ndarray,
@@ -191,13 +195,14 @@ def _sort_ties(keys: np.ndarray, counts: np.ndarray, tied: np.ndarray,
     """
     group = np.concatenate(([0], np.cumsum(~tied)))
     hot = np.zeros(group[-1] + 1, dtype=bool)
-    hot[group[1:][tied & new]] = True
-    idx = np.flatnonzero(hot[group])
+    hot[np.compress(tied & new, group[1:])] = True
+    idx = np.flatnonzero(np.take(hot, group))
     del group
-    sub = idx[np.lexsort(keys[:, idx])]
-    keys[:, idx], counts[idx] = keys[:, sub], counts[sub]
-    inner = idx[:-1][tied[idx[:-1]]]
-    new[inner] = (keys[:, inner + 1] != keys[:, inner]).any(axis=0)
+    sub = np.take(idx, np.lexsort(np.take(keys, idx, axis=1)))
+    keys[:, idx] = np.take(keys, sub, axis=1)
+    counts[idx] = np.take(counts, sub, axis=0)
+    inner = np.compress(np.take(tied, idx[:-1]), idx[:-1])
+    new[inner] = (np.take(keys, inner + 1, axis=1) != np.take(keys, inner, axis=1)).any(0)
 
 
 def _add(ak: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -243,7 +248,8 @@ def _square(t: tuple) -> tuple[np.ndarray, np.ndarray]:
         w = np.multiply.outer(c[i:e], c[i:])
         np.multiply(w, 2, out=w, where=~np.tri(*w.shape, dtype=bool))  # b > a
         keep = ~np.tri(*w.shape, -1, dtype=bool).ravel()                # b >= a
-        return _add(keys[:, i:e], keys[:, i:])[:, keep], w.ravel()[keep]
+        return (np.compress(keep, _add(keys[:, i:e], keys[:, i:]), axis=1),
+                np.compress(keep, w))
     return _blocks(len(c), lambda i: len(c) - i, block)
 
 
@@ -366,6 +372,8 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
     outer set, and reports lhs = S_s(outer) against
     rhs = Z^s S_s(inner) + Z^(2s) floor(P) S_{s-1}(inner).
     """
+    if not (isinstance(s, numbers.Integral) and s >= 2):
+        raise DomainError(f"s must be an integer >= 2, got {s!r}")
     inner = smooth_sets.build_single_levels(k, P, theta, base_levels).elements
     window = smooth_sets.window_for_size(P**theta)
     if not window.primes:

@@ -417,6 +417,10 @@ class SamplingPolicy:
     n_points: int = 512
     seed: int = 0
 
+    def __post_init__(self):
+        if differences._index(self.n_points) < 1:
+            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
+
     def candidates(self, d: ArcDissection) -> list:
         offset = random.Random(self.seed).random()
         lo = d.interval[0]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_s_count
 from waring import aux_count as ac
+from waring import bound_engine, smooth_sets
 from waring import expsum_arcs as ea
 from waring.errors import BudgetError, CoprimalityError, DomainError
 
@@ -268,6 +270,67 @@ class TestInt64Kernel:
             assert all(type(v) is int and type(c) is int for v, c in table.items())
 
 
+class TestRunsOracle:
+    """_runs against a sorted dict: one to three limbs; int64, object and
+    two-column counts; one to four raw or pre-reduced tables whose keys are
+    mixed, all distinct or all repeated."""
+
+    @staticmethod
+    def value(L):
+        """Keys of L limbs; small tops and clustered low limbs share leads."""
+        low = st.sampled_from([0, 1, 2, 3, 2**61, 2**62 - 1]) | st.integers(0, 2**62 - 1)
+        top = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1)
+        return st.tuples(*[low] * (L - 1), top).map(
+            lambda limbs: sum(x << 62 * j for j, x in enumerate(limbs)))
+
+    @staticmethod
+    def reduce(entries):
+        """Sorted (value, count) pairs with the counts of equal values summed."""
+        total = {}
+        for v, c in entries:
+            old = total.get(v)
+            total[v] = c if old is None else (
+                tuple(map(sum, zip(old, c))) if isinstance(c, tuple) else old + c)
+        return sorted(total.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_sorted_dict(self, data):
+        L = data.draw(st.integers(1, 3), label="L")
+        kind = data.draw(st.sampled_from(["int64", "object", "two_column"]))
+        shape = data.draw(st.sampled_from(["mixed", "distinct", "duplicate"]))
+        pool = data.draw(st.lists(self.value(L), min_size=1, max_size=30,
+                                  unique=True))
+        if shape == "mixed":
+            pool = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+        elif shape == "duplicate":
+            pool = pool * data.draw(st.integers(2, 3))
+        pool = data.draw(st.permutations(pool))
+        count = {"int64": st.integers(1, 3), "object": st.integers(2**64, 2**64 + 3),
+                 "two_column": st.tuples(st.integers(0, 3), st.integers(0, 3))}[kind]
+        entries = list(zip(pool, data.draw(st.lists(
+            count, min_size=len(pool), max_size=len(pool)))))
+        parts = data.draw(st.integers(1, min(4, len(entries))))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(entries) - 1),
+                                        min_size=parts - 1, max_size=parts - 1))
+                      if parts > 1 else [])
+        tables = [entries[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(entries)])]
+        if data.draw(st.booleans(), label="reduced"):
+            tables = [self.reduce(t) for t in tables]
+        dtype = object if kind == "object" else np.int64
+        keys, counts = ac._runs([
+            (ac._split([v for v, _ in t], L),
+             np.array([list(c) if kind == "two_column" else c for _, c in t],
+                      dtype=dtype)) for t in tables])
+        want = self.reduce([e for t in tables for e in t])
+        assert keys.dtype == np.int64 and keys.shape == (L, len(want))
+        assert counts.dtype == dtype
+        values = [sum(int(x) << 62 * j for j, x in enumerate(col)) for col in keys.T]
+        assert values == [v for v, _ in want]
+        assert counts.tolist() == [list(c) if kind == "two_column" else c
+                                   for _, c in want]
+
+
 class TestLeadSort:
     """_runs sorts keys of L > 1 limbs once on an int64 lead and lexsorts only
     the groups of equal leads that hold unequal keys; one limb is unchanged."""
@@ -363,9 +426,10 @@ class TestLeadSort:
     def test_lexsort_only_unequal_ties(self, monkeypatch):
         calls = self.sorts(monkeypatch)
         # top limbs all 0: b = 62 and the lead is the whole low limb
+        # two reduced tables are ascending runs, which a stable sort merges
         tables = self.tables([3, 1, 2**62 - 1, 0, 2**40, 7] * 2, 2, 0)
         assert self.runs(tables, 2) == self.want(tables)
-        assert calls == [("argsort", None)]
+        assert calls == [("argsort", "stable")]
         del calls[:]
         # top limbs 1 and 2 leave b = 60: the five sums 2^62 + 0..3 share one
         # lead, 2^63 + 2 and 2^63 + 3 another, and 2^62 + 2^60 is alone
@@ -449,6 +513,44 @@ class TestSquare:
         assert calls == [4, 4] * 2
 
 
+class TestPinnedTables:
+    """sha256 of rep_function's key bytes and counts on the count_wide inputs
+    at seed 1, taken from the kernel before its gathers went through
+    np.take: the kernel's data movement must not change one bit."""
+
+    @staticmethod
+    def inputs():
+        X = sorted(random.Random(1).sample(range(1, 3001), 1000))
+        spec = smooth_sets.multilevel_spec(3, bound_engine.theta_schedule(3, 1.0))
+        smooth = smooth_sets.build_multilevel(spec, 1e6)[-1].elements
+        return {"pairs_k10": ([X] * 2, 10),
+                "smooth_pairs_k8": ([smooth] * 2, 8),
+                "triples_k11": ([range(1, 101)] * 3, 11)}
+
+    pins = {
+        "pairs_k10": (
+            (2, 500500),
+            "286efc0ad6ab48d35f3d045ae62bbdc901de99da8c6a641ed0d15c8fd6d0c148",
+            "72ca546ef0ecdfda87966308d5c364a808b2456f80e74a39d805e4feef9a4233"),
+        "smooth_pairs_k8": (
+            (3, 361675),
+            "49020064123d062ff95f7e5b882452812430fe7fb61f6bfa58ffc19c035ceaed",
+            "c3934b5e0e72e4ed34c47971aeddcfb8f5c13355ab01f6f2150d9cac2049a4dd"),
+        "triples_k11": (
+            (2, 171700),
+            "c7e05bb591c17009c34b34a4b4b5dd8490b5981b333ec477c63116f80f1bd671",
+            "b95212edede6a55b5cf9b91e76a0837822d46de1454b607c960083fe7c965b6b"),
+    }
+
+    def test_key_and_count_bytes(self):
+        for name, (domains, k) in self.inputs().items():
+            rep = ac.rep_function(domains, k)
+            assert rep.counts.dtype == np.int64
+            got = (rep.keys.shape, hashlib.sha256(rep.keys.tobytes()).hexdigest(),
+                   hashlib.sha256(rep.counts.tobytes()).hexdigest())
+            assert got == self.pins[name], name
+
+
 class TestLemma1:
     @pytest.mark.parametrize("P,lhs,rhs", [
         (8, 120, 184), (12, 284, 428), (16, 1471, 6144)])
@@ -464,6 +566,14 @@ class TestLemma1:
         with pytest.warns(UserWarning):
             with pytest.raises(DomainError):
                 ac.lemma1_check(3, 2, 4, 0.2, base_levels=0)
+
+    @pytest.mark.parametrize("s", [1, 0, -2, 2.0, 2.5, "3", None])
+    def test_s_refused_before_any_set(self, monkeypatch, s):
+        def build(*args):
+            raise AssertionError("a set was built")
+        monkeypatch.setattr(smooth_sets, "build_single_levels", build)
+        with pytest.raises(DomainError, match=f"got {s!r}"):
+            ac.lemma1_check(3, s, 8, 0.4)
 
 
 class TestExponentFit:

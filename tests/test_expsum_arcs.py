@@ -492,6 +492,12 @@ class TestWeylRatio:
         with pytest.raises(DomainError):
             ea.weyl_ratio(10, 3, ea.SamplingPolicy(n_points=0))
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 2.0, "8", None])
+    def test_n_points_checked_when_built(self, n):
+        with pytest.raises(DomainError):
+            ea.SamplingPolicy(n_points=n)
+        assert ea.SamplingPolicy(n_points=np.int64(3)).n_points == 3
+
     def test_minor_points_counted(self):
         policy = ea.SamplingPolicy(n_points=512, seed=2)
         d = ea.ArcDissection.make(10, 3)
