@@ -10,7 +10,7 @@ from .bound_engine import (ExponentTable, GkResult, SigmaData, ThetaSchedule,
                            theta_schedule)
 from .differences import (BalanceCounts, BalanceGeometry, DiffChain,
                           IntPolynomial, Lemma7Terms, f_i_sum, lemma7_terms,
-                          model_counts, modified_diff, psi)
+                          model_counts, modified_diff, psi, psi_chains)
 from .errors import (BudgetError, CoprimalityError, DomainError,
                      EmptyWindowError, RootBracketError, WaringError,
                      WidthOverflowError)

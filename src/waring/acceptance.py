@@ -16,7 +16,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from . import aux_count, bound_engine, differences, expsum_arcs, smooth_sets
 
@@ -224,19 +223,15 @@ def criterion_10(seed: int = 0, quick: bool = False) -> CriterionResult:
     for k in range(1, 9):
         for i in range(1, k + 1):
             if 9**i <= 800:
-                combos = list(iproduct(*([[1, 2, 3]] * i + [[2, 3, 5]] * i)))
-                combos = [(c[:i], c[i:]) for c in combos]
-            else:
-                combos = [(tuple(rng.randint(1, 3) for _ in range(i)),
-                           tuple(rng.choice([2, 3, 5]) for _ in range(i)))
-                          for _ in range(40)]
-            for h, p in combos:
-                chain = differences.psi(k, h, p)
-                lead = math.prod(range(k - i + 1, k + 1)) * math.prod(h)
-                good = (chain.result.degree == k - i
-                        and chain.result.leading == lead)
-                ok = ok and good
-                checked += 1
+                chains = differences.psi_chains(k, [[1, 2, 3]] * i, [[2, 3, 5]] * i)
+            else:   # 40 random chains, each drawing its h and then its p
+                chains = [c for _ in range(40) for c in differences.psi_chains(
+                    k, [[rng.randint(1, 3)] for _ in range(i)],
+                    [[rng.choice([2, 3, 5])] for _ in range(i)])]
+            falling = math.prod(range(k - i + 1, k + 1))
+            ok = ok and all(len(cs) - 1 == k - i and cs[-1] == falling * math.prod(h)
+                            for h, _, cs in chains)
+            checked += len(chains)
     return _result(10, "difference-laws", ok,
                    f"psi1={pin.serialize()!r} cases={checked}", t0)
 

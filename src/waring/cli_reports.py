@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 from . import acceptance, aux_count, bound_engine, differences, expsum_arcs, \
     smooth_sets
-from .errors import BudgetError, WaringError
+from .errors import BudgetError, DomainError, WaringError
 
 
 class ConfigError(WaringError):
@@ -431,6 +431,8 @@ def _cmd_diff(cfg: RunConfig) -> int:
     if cfg.levels == 0:
         raise ConfigError("diff needs --levels >= 1, got 0")
     k = cfg.k
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
     rows = []
     primes = (2, 3, 5, 7)
     levels = min(3, k) if cfg.levels is None else cfg.levels

@@ -8,9 +8,9 @@ That is exact, and m = 1 is the forward difference.  The inner sum is
 evaluated in Horner form in t, reading the binomials from a cached table of
 Pascal columns per degree.  Chaining modified differences with moduli p_j^k
 against x^k yields the polynomials psi_i of degree k - i with leading
-coefficient k(k-1)...(k-i+1) * h_1...h_i; psi runs the chain on plain
-lists, takes its first level in the closed form h C(k, j) t^(k-j-1), and
-wraps one polynomial at the end.
+coefficient k(k-1)...(k-i+1) * h_1...h_i.  psi_chains checks its ranges
+once and, per h, builds each level from the last on plain lists, so a shared
+prefix (h_1..h_j, p_1..p_j) is differenced once; psi is its one-chain case.
 
 lemma7_terms evaluates the two competing terms U_i, V_i of the nested-sum
 estimate in log space; with power-law model counts and a balanced
@@ -122,70 +122,83 @@ class DiffChain:
     result: IntPolynomial
 
 
-def psi(k: int, h, p) -> DiffChain:
-    """Chain modified differences with steps h_j and moduli p_j^k over x^k."""
+def _levels(k, hs, windows) -> tuple:
+    """(k, hs, windows) as ints, checked once for a chain of len(hs) levels:
+    equal lengths, at most k levels, no empty range, every step positive and
+    every window value prime, with one is_prime per distinct value."""
     k = _index(k)
-    h = tuple(map(_index, h))
-    p = tuple(map(_index, p))
-    if len(h) != len(p):
-        raise DomainError(f"|h|={len(h)} and |p|={len(p)} must match")
-    i = len(h)
-    if k < 1 or i > k:
-        raise DomainError(f"need 0 <= i <= k, got i={i}, k={k}")
-    for v in h:
+    hs = tuple(tuple(map(_index, r)) for r in hs)
+    wins = tuple(tuple(map(_index, w)) for w in windows)
+    if len(hs) != len(wins):
+        raise DomainError(f"|h|={len(hs)} and |p|={len(wins)} must match")
+    if k < 1 or len(hs) > k:
+        raise DomainError(f"need 0 <= i <= k, got i={len(hs)}, k={k}")
+    if not all(hs) or not all(wins):
+        raise DomainError("all ranges must be nonempty")
+    for v in chain(*hs):
         if v < 1:
             raise DomainError(f"step h={v} must be positive")
-    for v in p:
+    for v in dict.fromkeys(chain(*wins)):
         if not is_prime(v):
             raise DomainError(f"{v} is not prime")
-    moduli = tuple(v**k for v in p)
-    if h:   # first level in closed form: coefficient j is h C(k, j) t^(k-j-1)
-        t = h[0] * moduli[0]
-        cs = [col[0] * h[0] * t ** (k - 1 - j)
-              for j, col in enumerate(_pascal(k))]
-    else:
-        cs = IntPolynomial.x_power(k).coeffs
-    for hj, mj in zip(h[1:], moduli[1:]):
-        cs = _diff(cs, hj, hj * mj)
-    poly = IntPolynomial.make(cs)
-    expected_lead = math.prod(range(k - i + 1, k + 1)) * math.prod(h)
-    assert poly.degree == k - i and poly.leading == expected_lead
-    return DiffChain(k=k, h=h, p=p, moduli=moduli, result=poly)
+    return k, hs, wins
+
+
+def psi_chains(k: int, hs, windows) -> list:
+    """(h, p, coeffs of psi_i(x; h; p^k)) for every h in product(*hs) and
+    every p in product(*windows), p innermost.  The arguments are checked
+    once; then, per h, level j's list differences each chain of level j-1's
+    list once per prime of window j.  Level 1 is in closed form: coefficient
+    j is h C(k, j) t^(k-j-1) with t = h_1 p_1^k."""
+    k, hs, wins = _levels(k, hs, windows)
+    i, binoms = len(hs), [col[0] for col in _pascal(k)]   # C(k, j), j < k
+    out = []
+    for h in product(*hs):
+        level = ([((v,), [b * h[0] * t ** (k - 1 - j)
+                          for j, b in enumerate(binoms)])
+                  for v in wins[0] for t in [h[0] * v**k]]
+                 if h else [((), IntPolynomial.x_power(k).coeffs)])
+        for hj, w in zip(h[1:], wins[1:]):
+            level = [(p + (v,), _diff(cs, hj, hj * v**k))
+                     for p, cs in level for v in w]
+        lead = math.prod(range(k - i + 1, k + 1)) * math.prod(h)
+        for p, cs in level:
+            assert len(cs) == k - i + 1 and cs[-1] == lead
+            out.append((h, p, tuple(cs)))
+    return out
+
+
+def psi(k: int, h, p) -> DiffChain:
+    """Chain modified differences with steps h_j and moduli p_j^k over x^k:
+    psi_chains with one value per level, so the same checks and walk."""
+    (h, p, cs), = psi_chains(k, [(v,) for v in h], [(v,) for v in p])
+    k = _index(k)
+    return DiffChain(k, h, p, tuple(v**k for v in p), IntPolynomial(cs))
 
 
 def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     """Frequencies q^k * psi_i(x; h; p^k) for h_j in [1, H_j], p in the
     product of the windows and x in [1, x_range], x innermost."""
-    qk = q**k
-    out = []
-    for hs in product(*(range(1, b + 1) for b in H)):
-        for ps in product(*windows):
-            poly = psi(k, hs, ps).result
-            out.extend(qk * poly.evaluate(x) for x in range(1, x_range + 1))
-    return tuple(out)
+    qk, xs = q**k, range(1, x_range + 1)
+    polys = [IntPolynomial(cs) for _, _, cs in
+             psi_chains(k, [range(1, b + 1) for b in H], windows)]
+    return tuple(qk * poly.evaluate(x) for poly in polys for x in xs)
 
 
 def nested_ranges(q: int, k: int, H, windows, x_range: int) -> tuple:
     """(H, windows, term count) with H and windows as int tuples, checked as
-    psi checks them (at most k levels, prime windows) and also: a positive
-    int q, one window per step bound, at least one level, and every range
-    nonempty."""
-    q, k, x_range = _index(q), _index(k), _index(x_range)
+    psi_chains checks them and also: a positive int q, at least one level
+    and a nonempty x range.  Level j's steps run 1..H_j, so its largest step
+    H_j stands for the whole range in the shared check."""
+    q, x_range = _index(q), _index(x_range)
     if q < 1:
         raise DomainError(f"q must be positive, got {q}")
-    H = tuple(map(_index, H))
-    wins = tuple(tuple(map(_index, w)) for w in windows)
-    if len(H) != len(wins):
-        raise DomainError("H and windows must have equal length")
-    if not H:
+    _, tops, wins = _levels(k, [(b,) for b in H], windows)
+    if not tops:
         raise DomainError("need at least one difference level")
-    if k < 1 or len(H) > k:
-        raise DomainError(f"need 0 <= i <= k, got i={len(H)}, k={k}")
-    if x_range < 1 or any(b < 1 for b in H) or any(not w for w in wins):
+    if x_range < 1:
         raise DomainError("all ranges must be nonempty")
-    for p in chain(*wins):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+    H = tuple(b for b, in tops)
     return H, wins, math.prod(H) * math.prod(map(len, wins)) * x_range
 
 

@@ -30,3 +30,17 @@ def classify_exact(alpha, d):
         if x == a:
             return None
         x = 1 / (x - a)
+
+
+def nested_frequencies_per_chain(psi, q, k, H, windows, x_range):
+    """The loop nested_frequencies ran before chains shared their prefixes:
+    one psi(k, h, p) call per chain, p inside h, x innermost.  psi is passed
+    in; this route checks the enumeration order and the frequencies, and psi
+    itself is checked against the definition of the nested difference."""
+    qk = q**k
+    out = []
+    for hs in product(*(range(1, b + 1) for b in H)):
+        for ps in product(*windows):
+            poly = psi(k, hs, ps).result
+            out.extend(qk * poly.evaluate(x) for x in range(1, x_range + 1))
+    return tuple(out)

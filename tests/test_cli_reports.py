@@ -535,6 +535,17 @@ class TestSmoothAndDiff:
             l for l in out.read_text().splitlines() if not l.startswith("#")))
         assert rows[0]["size"] == rows[0]["base_floor"] == "1000"
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_diff_k_below_one_is_domain_error(self, capsys, monkeypatch, k):
+        # refused before any row: min(3, k) levels would check no chain
+        monkeypatch.setattr(cli.differences, "psi", None)
+        code, out, err = run_cli(["diff", "--k", k], capsys)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "DomainError"
+        assert f"got {k}" in record["message"]
+
     @pytest.mark.parametrize("args,digest", [
         # the window cells "[lo,hi]" hold a comma, so csv quotes them
         (["smooth", "--k", "3", "--P", "10000", "--delta", "1.0", "--q", "5,7"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import nested_frequencies_per_chain
 from waring import acceptance
 from waring import differences as df
 from waring.bound_engine import theta_schedule
@@ -149,21 +150,24 @@ class TestModifiedDiff:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_oracle_on_criterion_10_chains(self, seed, monkeypatch):
+        # psi is the one-chain case of psi_chains, so this records the pin,
+        # the product cases and the random cases alike
         chains = []
-        real_psi = df.psi
+        real_psi_chains = df.psi_chains
 
-        def recording_psi(k, h, p):
-            chains.append(real_psi(k, h, p))
-            return chains[-1]
+        def recording_psi_chains(k, hs, windows):
+            out = real_psi_chains(k, hs, windows)
+            chains.extend((k, h, p, cs) for h, p, cs in out)
+            return out
 
-        monkeypatch.setattr(df, "psi", recording_psi)
+        monkeypatch.setattr(df, "psi_chains", recording_psi_chains)
         assert acceptance.criterion_10(seed=seed).passed
         assert len(chains) == 5614
-        for c in chains:
-            poly = df.IntPolynomial.x_power(c.k)
-            for hj, mj in zip(c.h, c.moduli):
-                poly = oracle_modified_diff(poly, hj, mj)
-            assert c.result == poly, (c.k, c.h, c.p)
+        for k, h, p, cs in chains:
+            poly = df.IntPolynomial.x_power(k)
+            for hj, pj in zip(h, p):
+                poly = oracle_modified_diff(poly, hj, pj**k)
+            assert cs == poly.coeffs, (k, h, p)
 
     def test_commutation(self):
         rng = random.Random(9)
@@ -230,6 +234,87 @@ class TestPsi:
         ms = [v**k for v in p]
         lhs = df.psi(k, h, p).result.evaluate(x) * math.prod(ms)
         assert lhs == nested_difference(k, h, ms, x)
+
+
+class TestPsiChains:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_one_chain_psi(self, data):
+        k = data.draw(st.integers(1, 12))
+        i = data.draw(st.integers(1, min(k, 4)))
+        hs = data.draw(st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+            min_size=i, max_size=i))
+        wins = data.draw(st.lists(
+            st.lists(st.sampled_from(PRIMES_TO_101), min_size=1, max_size=3,
+                     unique=True), min_size=i, max_size=i))
+        got = df.psi_chains(k, hs, wins)
+        want = [df.psi(k, h, p) for h in product(*hs) for p in product(*wins)]
+        assert len(got) == len(want)
+        for (h, p, cs), chain in zip(got, want):
+            assert (h, p, cs) == (chain.h, chain.p, chain.result.coeffs)
+
+    @pytest.mark.parametrize("q,k,H,wins,xr", [
+        (1, 1, [1], [(2,)], 1),
+        (2, 3, [2, 3], [(2, 3), (5,)], 4),
+        (3, 4, [2, 1, 2], [(2, 5), (3,), (7, 2)], 3),
+        (1, 6, [3, 2, 2, 1], [(2, 3), (5, 7), (11,), (2, 13)], 2),
+        (5, 9, [1, 2], [(97, 101), (2, 3, 5)], 5)])
+    def test_nested_frequencies_match_per_chain_loop(self, q, k, H, wins, xr):
+        assert df.nested_frequencies(q, k, H, wins, xr) == \
+            nested_frequencies_per_chain(df.psi, q, k, H, wins, xr)
+
+    def test_criterion_10_diff_calls(self, monkeypatch):
+        # 11,915 with one psi call per chain; shared prefixes leave 8,999
+        calls = []
+        real_diff = df._diff
+
+        def counting_diff(cs, h, t):
+            calls.append(None)
+            return real_diff(cs, h, t)
+
+        monkeypatch.setattr(df, "_diff", counting_diff)
+        assert acceptance.criterion_10(seed=0).passed
+        assert len(calls) <= 9000
+
+    @pytest.mark.parametrize("k,h,p,text", [
+        (3.0, [1], [2], "3.0 is not an integer"),
+        (3, [1.5], [2], "1.5 is not an integer"),
+        (3, [1], [2.0], "2.0 is not an integer"),
+        (3, [0], [2], "step h=0 must be positive"),
+        (3, [1], [4], "4 is not prime"),
+        (3, [1, 1], [2], "|h|=2 and |p|=1 must match"),
+        (2, [1, 1, 1], [2, 2, 2], "need 0 <= i <= k, got i=3, k=2")],
+        ids=["float_k", "float_h", "float_p", "h_zero", "non_prime",
+             "lengths", "depth"])
+    def test_refuses_what_psi_refuses(self, k, h, p, text):
+        # the messages psi gave when it checked each chain itself
+        for call in (lambda: df.psi(k, h, p),
+                     lambda: df.psi_chains(k, [[v] for v in h],
+                                           [[v] for v in p])):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == text
+
+    @pytest.mark.parametrize("hs,wins", [([[]], [[2]]), ([[1]], [[]]),
+                                         ([[1], []], [[2], [3]])])
+    def test_empty_range_refused(self, hs, wins):
+        with pytest.raises(DomainError, match="all ranges must be nonempty"):
+            df.psi_chains(3, hs, wins)
+
+    def test_one_is_prime_per_distinct_prime(self, monkeypatch):
+        seen = []
+        real_is_prime = df.is_prime
+
+        def counting_is_prime(n):
+            seen.append(n)
+            return real_is_prime(n)
+
+        monkeypatch.setattr(df, "is_prime", counting_is_prime)
+        chains = df.psi_chains(4, [[1, 2], [1, 3], [2]],
+                               [[2, 3], [3, 5, 2], [5, 7]])
+        assert len(chains) == 2 * 2 * 1 * 2 * 3 * 2
+        assert sorted(seen) == [2, 3, 5, 7]
 
 
 def oracle_nested_sum(alpha, q, k, H, windows, x_range):
