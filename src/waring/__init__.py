@@ -10,7 +10,7 @@ from .bound_engine import (ExponentTable, GkResult, SigmaData, ThetaSchedule,
                            theta_schedule)
 from .differences import (BalanceCounts, BalanceGeometry, DiffChain,
                           IntPolynomial, Lemma7Terms, f_i_sum, lemma7_terms,
-                          model_counts, modified_diff, psi, psi_chains)
+                          model_counts, psi, psi_chains)
 from .errors import (BudgetError, CoprimalityError, DomainError,
                      EmptyWindowError, RootBracketError, WaringError,
                      WidthOverflowError)
@@ -22,7 +22,6 @@ from .expsum_arcs import (ArcDissection, ArcMomentResult, DifferenceSum,
 from .smooth_sets import (PrimeWindow, ResidueProfile, SmoothSet, SmoothSpec,
                           build_multilevel, build_single, build_single_levels,
                           multilevel_spec, primes_in, read_set,
-                          residue_profile, size_estimate, window_for_size,
-                          write_set)
+                          residue_profile, size_estimate, window_for_size)
 
 __version__ = "0.1.0"

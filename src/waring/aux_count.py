@@ -1,9 +1,10 @@
 """Exact representation-function and solution-count machinery.
 
-All counts are exact integers.  gamma tables are built by convolving
-per-domain k-th power tables with a balanced (meet-in-the-middle) split; the
-predicted cost of a build is the product of the domain sizes and is checked
-against a budget first.
+All counts are exact integers.  gamma tables are built from per-domain k-th
+power tables: s equal domains in a row form each multiset of s entries once,
+weighted by its multinomial coefficient times its entries' counts, and
+different domains convolve by a balanced (meet-in-the-middle) split; the
+predicted cost, the product of the domain sizes, is checked first.
 
 One kernel serves every width of sum.  A table holds its distinct sums as an
 (L, n) int64 array of keys, least significant limb first: every limb but the
@@ -15,13 +16,14 @@ int64.  Outer sums add limb by limb, then carry once (digit sums stay below
 every count and count product, is below 2^63, and Python ints above it.
 The kernel sorts the outer sums of a block of about _BLOCK_PAIRS entries,
 adds up each run of equal keys and merges the reduced blocks as it goes, so
-memory stays within twice the number of distinct sums plus one block.  A
-split into two equal lists squares one half, forming each unordered pair of
-entries once.  Keys of L > 1 limbs sort once on an int64 lead made from
-their top two limbs, which ascends with the key; a group of equal leads is
-lexsorted only if it holds unequal keys.  At every L reduced tables merge by
-a stable sort, keys and counts move by np.take and np.compress (far faster
-than fancy indexing of the (L, n) keys), and distinct keys skip reduceat.
+memory stays within twice the number of distinct sums plus one block (and,
+for s > 2 equal domains, the unreduced multisets of s - 1 entries, each level
+built from n copies of the one below).  Keys of L > 1 limbs sort once on an
+int64 lead made from their top two limbs, which ascends with the key; a
+group of equal leads is lexsorted only if it holds unequal keys.  At every L
+reduced tables merge by a stable sort, keys and counts move by np.take and
+np.compress (far faster than fancy indexing of the (L, n) keys), and
+distinct keys skip reduceat.
 
 brute_force_t_pq enumerates tuples directly; it is the independent reference
 route and shares no code with the fast path.
@@ -33,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -239,37 +241,63 @@ def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
         _add(ak[:, i:e], bk), np.multiply.outer(ac[i:e], bc).ravel()))
 
 
-def _square(t: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """_convolve(t, t), each unordered pair once: row a keeps the columns
-    b >= a, counted c_a c_b and doubled only where b > a (not 2 c_a^2)."""
+def _power(t: tuple, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """s-fold _convolve(t, ..., t), each multiset of s entries formed once.
+
+    Level j, unreduced, holds each multiset of j entry indices as its key,
+    count product, multinomial coefficient, least index (ascending) and that
+    index's multiplicity m.  Entry a joins the multisets of level j - 1 whose
+    least index is >= a; the coefficient becomes coef j / (m + 1), with m = 0
+    unless a is that index, which is exact and at most j!.  Level s goes
+    through _blocks, and only its final multiply meets a coefficient, so no
+    product passes total.  At s = 2 row a keeps b >= a: 2 c_a c_b, or c_a^2.
+    """
+    if s == 1:
+        return t
     keys, c = t
+    n = len(c)
+    lk, prod, coef, least = keys, c, np.ones_like(c), np.arange(n)
+    mult = np.ones_like(least)
+    for j in range(2, s):
+        keep = (least >= np.arange(n)[:, None]).ravel()
+        rows, cols = np.divmod(np.flatnonzero(keep), len(least))
+        m = np.where(least[cols] == rows, mult[cols], 0)
+        lk = np.compress(keep, _add(keys, lk), axis=1)
+        prod, coef = c[rows] * prod[cols], coef[cols] * j // (m + 1)
+        least, mult = rows, m + 1
+    start = np.searchsorted(least, np.arange(n + 1))  # row a: start[a] onwards
+    grow, tie = coef * s, coef * s // (mult + 1)      # a below, or at, the least
 
     def block(i, e):
-        w = np.multiply.outer(c[i:e], c[i:])
-        np.multiply(w, 2, out=w, where=~np.tri(*w.shape, dtype=bool))  # b > a
-        keep = ~np.tri(*w.shape, -1, dtype=bool).ravel()                # b >= a
-        return (np.compress(keep, _add(keys[:, i:e], keys[:, i:]), axis=1),
+        lo, rows = start[i], np.arange(i, e)[:, None]
+        w = np.multiply.outer(c[i:e], prod[lo:])
+        np.multiply(w, grow[lo:], out=w, where=least[lo:] > rows)
+        band = np.arange(lo, start[e])                # least index in [i, e)
+        w[least[band] - i, band - lo] *= tie[band]
+        keep = (least[lo:] >= rows).ravel()
+        return (np.compress(keep, _add(keys[:, i:e], lk[:, lo:]), axis=1),
                 np.compress(keep, w))
-    return _blocks(len(c), lambda i: len(c) - i, block)
+    return _blocks(n, lambda i: len(least) - start[i], block)
 
 
-def _table(powers: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, counts) of the sums with one term from each list, in L limbs."""
-    if len(powers) == 1:
-        return _runs([(_split(powers[0], L), np.ones(len(powers[0]), dtype=dtype))])
-    mid = (len(powers) + 1) // 2  # left block takes ceil(s/2) lists
-    left = _table(powers[:mid], L, dtype)
-    if powers[:mid] == powers[mid:]:  # as in every s_count: build one half
-        return _square(left)
-    return _convolve(left, _table(powers[mid:], L, dtype))
+def _table(runs: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of the sums with one term from each list, in L limbs:
+    each (list, m), m equal lists in a row, is one _power, and different
+    runs combine by a balanced _convolve."""
+    if len(runs) > 1:
+        mid = (len(runs) + 1) // 2  # left block takes ceil(len/2) runs
+        return _convolve(_table(runs[:mid], L, dtype), _table(runs[mid:], L, dtype))
+    (values, m), = runs
+    return _power(_runs([(_split(values, L), np.ones(len(values), dtype=dtype))]), m)
 
 
 def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFunction:
     """Exact gamma table for sums x_1^k + ... + x_s^k over the given domains.
 
     L comes from sum_i max_{x in X_i} |x|^k (plain int64 keys when every sum
-    fits); memory is O(L * distinct sums + _BLOCK_PAIRS) whatever the product.
-    """
+    fits); m equal domains in a row sum each multiset of m elements once.
+    Memory is O(L * distinct sums + _BLOCK_PAIRS), plus the (m-1)-multisets
+    when m > 2."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     doms = _normalize_domains(domains)
@@ -278,8 +306,8 @@ def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFuncti
     powers = [[x**k for x in X] for X in doms]
     # |x| and so |x^k| is largest at an end of the sorted domain
     top = sum(max(abs(ps[0]), abs(ps[-1])) for ps in powers)
-    keys, counts = _table(powers, _limbs(top),
-                          np.int64 if total < _INT64 else object)
+    keys, counts = _table([(p, len(list(g))) for p, g in groupby(powers)],
+                          _limbs(top), np.int64 if total < _INT64 else object)
     assert int(counts.sum()) == total
     return RepFunction(k=k, s=len(doms), domains=doms, keys=keys,
                        counts=counts, total=total)
@@ -345,9 +373,10 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     powers = [x**k for x in E]
     L = _limbs(max(2 * (s - 1) * pk, 2 * qk) * max(abs(powers[0]), abs(powers[-1])))
     dtype = np.int64 if len(E) ** (2 * s) < _INT64 else object
-    lk, lc = _table([[pk * v for v in powers]] * (s - 1)
-                    + [[-pk * v for v in powers]] * (s - 1), L, dtype)
-    rk, rc = _table([[qk * v for v in powers], [-qk * v for v in powers]], L, dtype)
+    lk, lc = _table([([pk * v for v in powers], s - 1),
+                     ([-pk * v for v in powers], s - 1)], L, dtype)
+    rk, rc = _table([([qk * v for v in powers], 1), ([-qk * v for v in powers], 1)],
+                    L, dtype)
     _, both = _runs([(lk, np.column_stack((lc, 0 * lc))),
                      (rk, np.column_stack((0 * rc, rc)))])
     count = int(np.dot(both[:, 0], both[:, 1]))

@@ -134,32 +134,34 @@ def lambda_iterate(k: int, s_max: int, theta: float) -> ExponentTable:
                          thetas_used=tuple(thetas_used))
 
 
+def _sigma_gap(x: float, beta: float) -> float:
+    return (1 + x) * beta - math.exp(x)
+
+
 def solve_sigma(k: int) -> SigmaData:
-    """Bracketed bisection for the positive root of (1+x)*beta = e^x."""
+    """Bracketed bisection for the positive root of (1+x)*beta = e^x.  The
+    final bracket, a sign change a few ulps wide, certifies the root; past
+    k = 37,700 one ulp of x moves the residual past any 1e-9 bound."""
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
     beta = (k - 2) * (k + 1) ** 2 / k**2
-
-    def f(x: float) -> float:
-        return (1 + x) * beta - math.exp(x)
-
     lo, hi = 0.0, 4 * math.log(k) + 10
-    if f(lo) <= 0 or f(hi) >= 0:
+    if _sigma_gap(lo, beta) <= 0 or _sigma_gap(hi, beta) >= 0:
         raise RootBracketError(
             f"no sign change on (0, {hi:.3f}] for k={k}")
     while hi - lo > 1e-16 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if f(mid) > 0:
+        if _sigma_gap(mid, beta) > 0:
             lo = mid
         else:
             hi = mid
+    if not (_sigma_gap(lo, beta) > 0 >= _sigma_gap(hi, beta)
+            and hi - lo <= 4 * math.ulp(hi)):
+        raise RootBracketError(f"bisection left [{lo!r}, {hi!r}] open for k={k}")
     root = 0.5 * (lo + hi)
-    residual = abs(f(root))
-    if residual > 1e-9:
-        raise RootBracketError(
-            f"bisection stalled at residual {residual:.3e} for k={k}")
+    residual = abs(_sigma_gap(root, beta))
     mu = math.log((k + 1) / k)
     return SigmaData(
         k=k,

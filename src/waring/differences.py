@@ -1,6 +1,6 @@
 """Integer-polynomial difference operators and the balancing algebra.
 
-modified_diff(phi, h, m) is (phi(x + hm) - phi(x)) / m, built in one pass
+_diff builds the modified difference (phi(x + hm) - phi(x)) / m in one pass
 over the coefficients.  With t = hm, phi(x + t) - phi(x) has coefficient
 sum_{j>i} c_j C(j, i) t^(j-i) at x^i; every term has j > i, so it carries a
 factor t = hm, and cancelling m leaves h * sum_{j>i} c_j C(j, i) t^(j-i-1).
@@ -37,16 +37,6 @@ class IntPolynomial:
     """Dense integer polynomial, coefficients ascending, no trailing zeros."""
 
     coeffs: tuple[int, ...]
-
-    @staticmethod
-    def make(coeffs) -> "IntPolynomial":
-        try:
-            cs = list(map(operator.index, coeffs))
-        except TypeError:
-            raise DomainError(f"coefficients {coeffs!r} are not all integers") from None
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPolynomial(tuple(cs))
 
     @staticmethod
     def x_power(k: int) -> "IntPolynomial":
@@ -96,19 +86,6 @@ def _diff(cs, h: int, t: int) -> list:
             acc = acc * t + c * b
         out.append(h * acc)
     return out
-
-
-def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
-    """(phi(x + h*m) - phi(x)) / m in one pass over the coefficients.
-
-    With t = h*m, coefficient i is sum_{j>i} c_j * C(j, i) * h * t^(j-i-1).
-    Each term of phi(x + t) - phi(x) carries a factor t, so m cancels term
-    by term: the result is exact with no division and no remainder.
-    """
-    h, m = _index(h), _index(m)
-    if m < 1 or h < 1:
-        raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
-    return IntPolynomial.make(_diff(phi.coeffs, h, h * m))
 
 
 @dataclass(frozen=True)
@@ -178,7 +155,9 @@ def psi(k: int, h, p) -> DiffChain:
 
 def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     """Frequencies q^k * psi_i(x; h; p^k) for h_j in [1, H_j], p in the
-    product of the windows and x in [1, x_range], x innermost."""
+    product of the windows and x in [1, x_range], x innermost; the arguments
+    are checked as nested_ranges checks them."""
+    H, windows, _ = nested_ranges(q, k, H, windows, x_range)
     qk, xs = q**k, range(1, x_range + 1)
     polys = [IntPolynomial(cs) for _, _, cs in
              psi_chains(k, [range(1, b + 1) for b in H], windows)]

@@ -286,20 +286,9 @@ def size_estimate(k: int, P: float) -> float:
         return math.inf
 
 
-def write_set(path, smooth: SmoothSet) -> None:
-    """Newline-delimited decimal export with a header line."""
-    spec = smooth.spec
-    k = spec.k if spec else 0
-    mode = spec.mode if spec else "raw"
-    p_top = spec.P_top if spec else 0.0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# waring-set k={k} mode={mode} P={p_top!r}\n")
-        for x in smooth.elements:
-            fh.write(f"{x}\n")
-
-
 def read_set(path) -> SmoothSet:
-    """Inverse of write_set; exact round-trip of header fields and elements."""
+    """A set file: a '# waring-set k=<k> mode=<mode> P=<P>' header line,
+    then one decimal element per line."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
     header = lines[0].strip() if lines else ""

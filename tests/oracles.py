@@ -1,9 +1,16 @@
-"""Reference routes that share no code with the fast paths they check."""
+"""Reference routes that share no code with the fast paths they check, and
+test-only helpers: modified_diff reaches the difference kernel psi_chains
+runs, and write_set writes the set files that read_set and count --set read."""
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+
+from waring import differences
+from waring.differences import IntPolynomial
+from waring.errors import DomainError
 
 
 def brute_force_s_count(X, s: int, k: int) -> int:
@@ -44,3 +51,37 @@ def nested_frequencies_per_chain(psi, q, k, H, windows, x_range):
             poly = psi(k, hs, ps).result
             out.extend(qk * poly.evaluate(x) for x in range(1, x_range + 1))
     return tuple(out)
+
+
+def make_poly(coeffs) -> IntPolynomial:
+    """IntPolynomial of exact int coefficients, trailing zeros dropped."""
+    try:
+        cs = list(map(operator.index, coeffs))
+    except TypeError:
+        raise DomainError(f"coefficients {coeffs!r} are not all integers") from None
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return IntPolynomial(tuple(cs))
+
+
+def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
+    """(phi(x + h*m) - phi(x)) / m through differences._diff, the one-pass
+    kernel of psi_chains: coefficient i is sum_{j>i} c_j C(j, i) h t^(j-i-1)
+    with t = h*m, exact with no division."""
+    h, m = differences._index(h), differences._index(m)
+    if m < 1 or h < 1:
+        raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
+    return make_poly(differences._diff(phi.coeffs, h, h * m))
+
+
+def write_set(path, smooth) -> None:
+    """A set file as read_set reads it: the header line, then one decimal
+    element per line."""
+    spec = smooth.spec
+    k = spec.k if spec else 0
+    mode = spec.mode if spec else "raw"
+    p_top = spec.P_top if spec else 0.0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# waring-set k={k} mode={mode} P={p_top!r}\n")
+        for x in smooth.elements:
+            fh.write(f"{x}\n")

@@ -448,10 +448,12 @@ class TestLeadSort:
 
 
 class TestSquare:
-    """_table squares a table whose two halves are equal lists: each unordered
-    pair of entries once, weighted c_a^2 on the diagonal and 2 c_a c_b off it."""
+    """_power(t, s), the kernel for s equal lists, against the s-fold
+    _convolve: each multiset of s entries once, weighted by its multinomial
+    coefficient times its count product.  At s = 2 it squares a table, c_a^2
+    on the diagonal and 2 c_a c_b off it."""
 
-    # element ranges whose sums of two 4th powers take one, two and three limbs
+    # element ranges whose sums of four 4th powers take one, two and three limbs
     ranges = {1: 2**12, 2: 2**25, 3: 2**40}
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
@@ -461,56 +463,87 @@ class TestSquare:
         monkeypatch.setattr(ac, "_BLOCK_PAIRS", block)
         rng = random.Random(L * block)
         hi = self.ranges[L]
-        for _ in range(3):
-            X = [rng.randint(-hi, hi) for _ in range(rng.randint(1, 30))]
-            values = [x**4 for x in X] + [-(x**4) for x in X[::3]]
-            assert ac._limbs(2 * max(map(abs, values))) == L
+        for s in (1, 2, 3, 4):
+            X = [hi] + [rng.randint(-hi, hi) for _ in range(rng.randint(0, 9 if s < 4 else 5))]
+            # x and -x share a 4th power, so _runs merges them: counts > 1
+            values = [x**4 for x in X + [-x for x in X[::2]]] + [-(x**4) for x in X[::3]]
+            assert ac._limbs(4 * max(map(abs, values))) == L
             counts = [rng.randint(1, 5) + (2**70 if dtype is object else 0)
                       for _ in values]
             t = ac._runs([(ac._split(values, L), np.array(counts, dtype=dtype))])
-            keys, got = ac._square(t)
-            want_keys, want = ac._convolve(t, t)
+            want_keys, want = t
+            for _ in range(s - 1):
+                want_keys, want = ac._convolve((want_keys, want), t)
+            keys, got = ac._power(t, s)
             assert keys.dtype == np.int64 and got.dtype == want.dtype
-            assert np.array_equal(keys, want_keys)
-            assert got.tolist() == want.tolist()
+            assert np.array_equal(keys, want_keys), s
+            assert got.tolist() == want.tolist(), s
 
     def test_diagonal_count_is_never_doubled(self):
         # 2 (2^31 + 5)^2 passes 2^63; (2^31 + 5)^2 + 2 (2^31 + 5) + 1 does not
         c = 2**31 + 5
         t = (ac._split([1, 2**40], 1), np.array([c, 1], dtype=np.int64))
-        keys, counts = ac._square(t)
+        keys, counts = ac._power(t, 2)
         assert counts.dtype == np.int64
         assert keys.tolist() == [[2, 2**40 + 1, 2**41]]
         assert counts.tolist() == [c * c, 2 * c, 1]
         assert int(counts.sum()) == (c + 1)**2 < 2**63
 
+    def test_triple_counts_at_the_int64_edge(self):
+        # (c + 2)^3 < 2^63 bounds every count, but 3 c^3 passes 2^63: a
+        # kernel that scaled c^3 by 3 before dividing by 3 would wrap
+        c = 2**21 - 3
+        values = [1, 2**20, 2**40]
+        t = (ac._split(values, 1), np.array([c, 1, 1], dtype=np.int64))
+        keys, counts = ac._power(t, 3)
+        want = Counter()
+        for idx in product(range(3), repeat=3):
+            want[sum(values[i] for i in idx)] += math.prod((c, 1, 1)[i] for i in idx)
+        assert counts.dtype == np.int64
+        assert keys.tolist() == [sorted(want)]
+        assert counts.tolist() == [want[v] for v in sorted(want)]
+        assert max(want.values()) == c**3 > 2**62
+        assert int(counts.sum()) == (c + 2)**3 < 2**63
+
+    def test_runs_gets_each_multiset_once(self, monkeypatch):
+        # C(102, 3) = 171,700 multisets of 100 entries; the pair table times
+        # the single table would send 5,050 * 100 = 505,000 entries
+        sizes = []
+        runs = ac._runs
+        monkeypatch.setattr(ac, "_runs", lambda tables: sizes.extend(
+            [len(tables[0][1])] if len(tables) == 1 else []) or runs(tables))
+        assert ac.s_count(range(1, 101), 3, 3).S == 7475446
+        assert sizes[0] == 100   # the single table
+        assert sum(sizes[1:]) == math.comb(102, 3) == 171_700
+
     @staticmethod
-    def squares(monkeypatch):
-        """Record the number of entries of each table _square gets."""
+    def powers(monkeypatch):
+        """Record (table entries, s) of each _power call."""
         calls = []
-        square = ac._square
-        monkeypatch.setattr(ac, "_square", lambda t: calls.append(len(t[1]))
-                            or square(t))
+        power = ac._power
+        monkeypatch.setattr(ac, "_power", lambda t, s: calls.append((len(t[1]), s))
+                            or power(t, s))
         return calls
 
-    # s = 4 squares the pair table too, and builds no second half
-    @pytest.mark.parametrize("s,squared", [(2, 1), (3, 1), (4, 2)])
-    def test_s_count_matches_brute_force(self, monkeypatch, s, squared):
-        calls = self.squares(monkeypatch)
+    # s equal domains are one _power of s; the old second id counted squarings
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_s_count_matches_brute_force(self, monkeypatch, s):
+        calls = self.powers(monkeypatch)
         monkeypatch.setattr(ac, "_BLOCK_PAIRS", 16)
         rng = random.Random(s)
         for k in (1, 2, 3):
             X = rng.sample(range(-15, 16), 7 if s < 4 else 5)
             assert ac.s_count(X, s, k).S == brute_force_s_count(X, s, k)
-        assert len(calls) == 3 * squared
+        assert [m for _, m in calls] == [s] * 3
 
     def test_t_pq_left_table_is_squared(self, monkeypatch):
-        calls = self.squares(monkeypatch)
+        calls = self.powers(monkeypatch)
         monkeypatch.setattr(ac, "_BLOCK_PAIRS", 16)
         for E, k in (([-5, 1, 3, 7], 2), ([-7, -1, 3, 5], 3)):
             assert ac.t_pq_count(E, 3, k, 2, 3).S == ac.brute_force_t_pq(E, 3, k, 2, 3)
-        # the two halves of the left table, p^k x^k and -p^k x^k, are squared
-        assert calls == [4, 4] * 2
+        # the two halves of the left table, p^k x^k and -p^k x^k, are squared;
+        # the right table's lists differ, so each is a power of one
+        assert calls == [(4, 2), (4, 2), (4, 1), (4, 1)] * 2
 
 
 class TestPinnedTables:

@@ -85,6 +85,21 @@ class TestSolveSigma:
         with pytest.raises(DomainError):
             be.solve_sigma(2)
 
+    @pytest.mark.parametrize("ks", [range(37_690, 37_801),
+                                    range(37_801, 200_001, 997)])
+    def test_large_k_root_is_a_closed_sign_change(self, ks):
+        # past k = 37,700 one ulp of the root moves the residual past 1e-9
+        for k in ks:
+            sig = be.solve_sigma(k)
+            x, step = sig.lambda_root, 2 * math.ulp(sig.lambda_root)
+            assert be._sigma_gap(x - step, sig.beta) > 0 >= be._sigma_gap(x + step, sig.beta)
+            assert sig.residual <= 4 * step * sig.beta * (1 + x)
+
+    def test_no_sign_change_is_refused(self, monkeypatch):
+        monkeypatch.setattr(be, "_sigma_gap", lambda x, beta: 1.0)
+        with pytest.raises(RootBracketError, match="no sign change"):
+            be.solve_sigma(37_701)
+
 
 class TestSigmaOfS:
     def test_integer_max_near_sigma_hat(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import write_set
 from waring import cli_reports as cli
 
 
@@ -477,7 +478,7 @@ class TestCount:
         final = sm.build_multilevel(
             sm.multilevel_spec(3, theta_schedule(3, 1.0)), 1e4)[-1]
         setfile = tmp_path / "set.txt"
-        sm.write_set(setfile, final)
+        write_set(setfile, final)
         out = tmp_path / "c.csv"
         code, _, _ = run_cli(["count", "--k", "3", "--s", "2",
                               "--set", str(setfile), "--out", str(out)],

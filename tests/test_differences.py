@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nested_frequencies_per_chain
+from oracles import make_poly, modified_diff, nested_frequencies_per_chain
 from waring import acceptance
 from waring import differences as df
 from waring.bound_engine import theta_schedule
@@ -33,14 +33,14 @@ def shift(phi, t):
             out[i] += c * term
             if i:
                 term = term * t * i // (j - i + 1)
-    return df.IntPolynomial.make(out)
+    return make_poly(out)
 
 
 def subtract(a, b):
     n = max(len(a.coeffs), len(b.coeffs))
     xs = list(a.coeffs) + [0] * (n - len(a.coeffs))
     ys = list(b.coeffs) + [0] * (n - len(b.coeffs))
-    return df.IntPolynomial.make(x - y for x, y in zip(xs, ys))
+    return make_poly(x - y for x, y in zip(xs, ys))
 
 
 def divide_exact(phi, m):
@@ -49,7 +49,7 @@ def divide_exact(phi, m):
         q, r = divmod(c, m)
         assert r == 0, f"coefficient {c} not divisible by {m}"
         out.append(q)
-    return df.IntPolynomial.make(out)
+    return make_poly(out)
 
 
 def oracle_modified_diff(phi, h, m):
@@ -73,25 +73,25 @@ class TestIntPolynomial:
         assert shift(X3, 2).coeffs == (8, 12, 6, 1)
 
     def test_zero_degree_sentinel(self):
-        zero = df.modified_diff(df.IntPolynomial.x_power(0), 1, 1)
+        zero = modified_diff(df.IntPolynomial.x_power(0), 1, 1)
         assert zero.degree == -1
         assert zero.coeffs == ()
 
     def test_evaluate_horner(self):
-        p = df.IntPolynomial.make([64, 24, 3])
+        p = make_poly([64, 24, 3])
         assert p.evaluate(10) == 64 + 240 + 300
 
     def test_serialize_round_trip(self):
-        p = df.IntPolynomial.make([64, 24, 3])
+        p = make_poly([64, 24, 3])
         assert p.serialize() == "64 24 3"
 
     @pytest.mark.parametrize("coeffs", [[1.5, 2.7], [1, 2.0], [3, "4"]])
     def test_make_refuses_non_integral_coefficients(self, coeffs):
         with pytest.raises(DomainError):
-            df.IntPolynomial.make(coeffs)
+            make_poly(coeffs)
 
     def test_make_keeps_integer_types_exact(self):
-        p = df.IntPolynomial.make([np.int64(3), 1 << 70, 0])
+        p = make_poly([np.int64(3), 1 << 70, 0])
         assert p.coeffs == (3, 1 << 70)
         assert all(type(c) is int for c in p.coeffs)
 
@@ -100,38 +100,38 @@ class TestForwardDiff:
     """The forward difference phi(x + t) - phi(x) is modified_diff with m = 1."""
 
     def test_square_step_one(self):
-        assert df.modified_diff(X2, 1, 1).coeffs == (1, 2)
+        assert modified_diff(X2, 1, 1).coeffs == (1, 2)
 
     def test_cube_twice(self):
-        once = df.modified_diff(X3, 1, 1)
-        twice = df.modified_diff(once, 1, 1)
+        once = modified_diff(X3, 1, 1)
+        twice = modified_diff(once, 1, 1)
         assert twice.coeffs == (6, 6)
 
     def test_constant_vanishes(self):
-        c = df.IntPolynomial.make([17])
-        assert df.modified_diff(c, 5, 1).degree == -1
+        c = make_poly([17])
+        assert modified_diff(c, 5, 1).degree == -1
 
     def test_degree_drops_by_one(self):
         rng = random.Random(1)
         for _ in range(20):
             deg = rng.randint(1, 7)
             coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-            phi = df.IntPolynomial.make(coeffs)
+            phi = make_poly(coeffs)
             t = rng.randint(1, 5)
-            assert df.modified_diff(phi, t, 1).degree == phi.degree - 1
+            assert modified_diff(phi, t, 1).degree == phi.degree - 1
 
 
 class TestModifiedDiff:
     def test_cube_mod_8(self):
-        assert df.modified_diff(X3, 1, 8).coeffs == (64, 24, 3)
+        assert modified_diff(X3, 1, 8).coeffs == (64, 24, 3)
 
     def test_square_mod_3(self):
-        assert df.modified_diff(X2, 2, 3).coeffs == (12, 4)
+        assert modified_diff(X2, 2, 3).coeffs == (12, 4)
 
     def test_unit_modulus_matches_forward(self):
         for k in (2, 3, 5):
             xk = df.IntPolynomial.x_power(k)
-            assert df.modified_diff(xk, 1, 1) == subtract(shift(xk, 1), xk)
+            assert modified_diff(xk, 1, 1) == subtract(shift(xk, 1), xk)
 
     def test_divisibility_never_fails_on_power_sweep(self):
         rng = random.Random(5)
@@ -139,14 +139,14 @@ class TestModifiedDiff:
             k = rng.randint(1, 6)
             h = rng.randint(1, 5)
             m = rng.randint(1, 3**k)
-            df.modified_diff(df.IntPolynomial.x_power(k), h, m)  # must not raise
+            modified_diff(df.IntPolynomial.x_power(k), h, m)  # must not raise
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
            st.integers(1, 5), st.integers(1, 50))
     def test_matches_shift_subtract_divide(self, coeffs, h, m):
-        phi = df.IntPolynomial.make(coeffs)
-        assert df.modified_diff(phi, h, m) == oracle_modified_diff(phi, h, m)
+        phi = make_poly(coeffs)
+        assert modified_diff(phi, h, m) == oracle_modified_diff(phi, h, m)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_oracle_on_criterion_10_chains(self, seed, monkeypatch):
@@ -176,8 +176,8 @@ class TestModifiedDiff:
             xk = df.IntPolynomial.x_power(k)
             h1, h2 = rng.randint(1, 4), rng.randint(1, 4)
             m1, m2 = rng.randint(1, 20), rng.randint(1, 20)
-            a = df.modified_diff(df.modified_diff(xk, h1, m1), h2, m2)
-            b = df.modified_diff(df.modified_diff(xk, h2, m2), h1, m1)
+            a = modified_diff(modified_diff(xk, h1, m1), h2, m2)
+            b = modified_diff(modified_diff(xk, h2, m2), h1, m1)
             assert a == b
 
 
@@ -220,7 +220,7 @@ class TestPsi:
         with pytest.raises(DomainError, match="2.0"):
             df.psi(2.0, [1], [2])
         with pytest.raises(DomainError, match="8.0"):
-            df.modified_diff(X3, 1, 8.0)
+            modified_diff(X3, 1, 8.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -263,6 +263,16 @@ class TestPsiChains:
     def test_nested_frequencies_match_per_chain_loop(self, q, k, H, wins, xr):
         assert df.nested_frequencies(q, k, H, wins, xr) == \
             nested_frequencies_per_chain(df.psi, q, k, H, wins, xr)
+
+    @pytest.mark.parametrize("q,H,x_range,text", [
+        (2.5, [2], 2, "2.5 is not an integer"),
+        (3, [2.0], 2, "2.0 is not an integer"),
+        (3, [2], 2.0, "2.0 is not an integer"),
+        (3, [2], 0, "all ranges must be nonempty")],
+        ids=["float-q", "float-H", "float-x-range", "empty-x-range"])
+    def test_nested_frequencies_checks_its_arguments(self, q, H, x_range, text):
+        with pytest.raises(DomainError, match=text):
+            df.nested_frequencies(q, 3, H, [(2,)], x_range)
 
     def test_criterion_10_diff_calls(self, monkeypatch):
         # 11,915 with one psi call per chain; shared prefixes leave 8,999

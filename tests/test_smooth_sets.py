@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import write_set
 from waring import smooth_sets as sm
 from waring.bound_engine import theta_schedule
 from waring.errors import (DomainError, EmptyWindowError, WidthOverflowError)
@@ -262,7 +263,7 @@ class TestSetFiles:
         sched = theta_schedule(3, 1.0)
         final = sm.build_multilevel(sm.multilevel_spec(3, sched), 1e4)[-1]
         path = tmp_path / "set.txt"
-        sm.write_set(path, final)
+        write_set(path, final)
         back = sm.read_set(path)
         assert back.elements == final.elements
         assert back.spec.k == 3
