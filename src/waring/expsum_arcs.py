@@ -33,7 +33,7 @@ import numpy as np
 
 from . import differences
 from .errors import BudgetError, DomainError
-from .phases import exact_sum, unit_sum
+from .phases import exact_sum, unit_sum, unit_sums
 
 DEFAULT_GRID_BUDGET = 1 << 26
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -437,21 +437,17 @@ class WeylReport:
 
 
 def weyl_ratio(P: int, k: int, policy: SamplingPolicy = SamplingPolicy()) -> WeylReport:
-    """Max of |f(alpha)| / P^(1 - 1/2^(k-1)) over minor-arc sample points."""
+    """Max of |f(alpha)| / P^(1 - 1/2^(k-1)) over minor-arc sample points,
+    reached first at argmax_alpha.  Every candidate is classified first, then
+    all the minor ones are evaluated in one phases.unit_sums pass."""
     d = ArcDissection.make(P, k)
     spec = FullInterval(P=P, k=k)
     scale = P ** (1 - 1 / 2 ** (k - 1))
-    best = None
-    n_minor = 0
     cands = policy.candidates(d)
-    for alpha in cands:
-        if classify(alpha, d) is not None:
-            continue
-        n_minor += 1
-        ratio = abs(eval_at(spec, alpha)) / scale
-        if best is None or ratio > best[0]:
-            best = (ratio, alpha)
-    if best is None:
+    minor = [alpha for alpha in cands if classify(alpha, d) is None]
+    if not minor:
         raise DomainError("sampling policy produced no minor-arc points")
-    return WeylReport(max_ratio=best[0], argmax_alpha=best[1],
-                      n_minor=n_minor, n_candidates=len(cands), scale=scale)
+    ratios = [abs(v) / scale for v in unit_sums(frequencies(spec), minor)]
+    best = max(range(len(minor)), key=ratios.__getitem__)
+    return WeylReport(max_ratio=ratios[best], argmax_alpha=minor[best],
+                      n_minor=len(minor), n_candidates=len(cands), scale=scale)

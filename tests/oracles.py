@@ -1,6 +1,8 @@
 """Reference routes that share no code with the fast paths they check, and
 test-only helpers: modified_diff reaches the difference kernel psi_chains
-runs, and write_set writes the set files that read_set and count --set read."""
+runs, write_set writes the set files that read_set and count --set read,
+and weyl_ratio_per_candidate checks weyl_ratio's one batched pass against
+eval_at at each point."""
 
 import math
 import operator
@@ -8,7 +10,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from waring import differences
+import numpy as np
+
+from waring import differences, expsum_arcs
 from waring.differences import IntPolynomial
 from waring.errors import DomainError
 
@@ -37,6 +41,56 @@ def classify_exact(alpha, d):
         if x == a:
             return None
         x = 1 / (x - a)
+
+
+def reduced_uint64(freqs, num: int, den: int):
+    """(f * num mod den) / den for each f as float64 by wrapping uint64
+    products, or None when den > 2^64 or some frequency does not fit in
+    int64."""
+    if den > 1 << 64:
+        return None
+    f = np.asarray(freqs)
+    if f.dtype.kind != "i":     # past int64, numpy infers uint64, float or object
+        return None
+    r = f.astype(np.int64, copy=False).view(np.uint64) * np.uint64(num % (1 << 64))
+    return (r & np.uint64(den - 1)).astype(np.float64) / float(den)
+
+
+def unit_sum_per_alpha(freqs, alpha: float) -> complex:
+    """phases.unit_sum as it was before unit_sums: one alpha at a time, the
+    uint64 residues with np.cos and np.sin when reduced_uint64 applies, else
+    the big-integer loop with math.cos and math.sin; every part summed by
+    math.fsum."""
+    num, den = float(alpha).as_integer_ratio()
+    frac = reduced_uint64(freqs, num, den)
+    if frac is not None:
+        ph = 2.0 * math.pi * frac
+        return complex(math.fsum(np.cos(ph).tolist()),
+                       math.fsum(np.sin(ph).tolist()))
+    if isinstance(freqs, np.ndarray):
+        freqs = freqs.tolist()
+    phs = [2.0 * math.pi * (((f * num) % den) / den) for f in freqs]
+    return complex(math.fsum(map(math.cos, phs)), math.fsum(map(math.sin, phs)))
+
+
+def weyl_ratio_per_candidate(P: int, k: int, policy):
+    """expsum_arcs.weyl_ratio as one loop over the candidates: classify, then
+    eval_at at each minor point, keeping the first maximum."""
+    d = expsum_arcs.ArcDissection.make(P, k)
+    spec = expsum_arcs.FullInterval(P=P, k=k)
+    scale = P ** (1 - 1 / 2 ** (k - 1))
+    best, n_minor = None, 0
+    cands = policy.candidates(d)
+    for alpha in cands:
+        if expsum_arcs.classify(alpha, d) is not None:
+            continue
+        n_minor += 1
+        ratio = abs(expsum_arcs.eval_at(spec, alpha)) / scale
+        if best is None or ratio > best[0]:
+            best = (ratio, alpha)
+    return expsum_arcs.WeylReport(max_ratio=best[0], argmax_alpha=best[1],
+                                  n_minor=n_minor, n_candidates=len(cands),
+                                  scale=scale)
 
 
 def nested_frequencies_per_chain(psi, q, k, H, windows, x_range):

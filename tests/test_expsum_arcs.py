@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import brute_force_s_count, classify_exact
 from waring import aux_count as ac
 from waring import expsum_arcs as ea
@@ -516,3 +517,28 @@ class TestWeylRatio:
     def test_scale_exponent(self):
         rep = ea.weyl_ratio(50, 3, ea.SamplingPolicy(n_points=64, seed=1))
         assert rep.scale == pytest.approx(50 ** 0.75)
+
+
+class TestWeylRatioOracle:
+    @pytest.mark.parametrize("P", [10, 50, 200, 1000])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_candidate_loop(self, P, k, seed):
+        policy = ea.SamplingPolicy(n_points=512, seed=seed)
+        assert ea.weyl_ratio(P, k, policy) == oracles.weyl_ratio_per_candidate(
+            P, k, policy)
+
+    def test_first_maximum_kept(self, monkeypatch):
+        # every minor point ties: the first one is the argmax
+        policy = ea.SamplingPolicy(n_points=64, seed=3)
+        monkeypatch.setattr(ea, "unit_sums", lambda freqs, alphas: [1j] * len(alphas))
+        d = ea.ArcDissection.make(50, 3)
+        first = next(a for a in policy.candidates(d) if ea.classify(a, d) is None)
+        assert ea.weyl_ratio(50, 3, policy).argmax_alpha == first
+
+    def test_every_point_past_int64(self):
+        # 200^9 > 2^63: the frequencies are Python ints at every alpha
+        policy = ea.SamplingPolicy(n_points=512, seed=4)
+        assert isinstance(ea.frequencies(ea.FullInterval(P=200, k=9)), tuple)
+        assert ea.weyl_ratio(200, 9, policy) == oracles.weyl_ratio_per_candidate(
+            200, 9, policy)

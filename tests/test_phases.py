@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from waring import differences as df
 from waring import expsum_arcs as ea
 from waring import phases
+from waring.errors import DomainError
 
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 EPS = sys.float_info.epsilon
@@ -27,8 +30,9 @@ def check(freqs, alpha):
     num, den = float(alpha).as_integer_ratio()
     fixed = den <= 1 << 64 and all(I64_MIN <= f <= I64_MAX for f in freqs)
     fracs, want = literal(freqs, alpha)
-    got_fracs = phases._reduced_uint64(freqs, num, den)
+    got_fracs = oracles.reduced_uint64(freqs, num, den)
     got = phases.unit_sum(freqs, alpha)
+    assert got == oracles.unit_sum_per_alpha(freqs, alpha)
     if not fixed:
         assert got_fracs is None
         assert got == want
@@ -71,12 +75,22 @@ def test_unit_sum_edges(freqs, a):
     check(freqs, a)
 
 
-def test_route_chosen_from_input():
-    small = (2.0**-12 * 0.7371).as_integer_ratio()
-    assert small[1] > 1 << 64     # a full mantissa below 2^-12
-    assert phases._reduced_uint64([1, 2], *small) is None
-    assert phases._reduced_uint64([1, 2], *(0.3).as_integer_ratio()) is not None
-    assert phases._reduced_uint64([1 << 63], *(0.3).as_integer_ratio()) is None
+def test_route_chosen_from_input(monkeypatch):
+    small = 2.0**-12 * 0.7371
+    assert small.as_integer_ratio()[1] > 1 << 64     # a full mantissa below 2^-12
+    seen = []
+    for name in ("_word_terms", "_big_terms"):
+        monkeypatch.setattr(phases, name, lambda fs, ratios, route=getattr(
+            phases, name), name=name: seen.append((name, ratios)) or route(fs, ratios))
+    edge = 2.0**-12 * (1 + EPS)                      # 2^e = 2^64 exactly
+    assert edge.as_integer_ratio()[1] == 1 << 64
+    phases.unit_sums([1, 2], [0.3, small, 0.5, edge])
+    assert seen == [("_word_terms", [(0.3).as_integer_ratio(), (0.5).as_integer_ratio(),
+                                     edge.as_integer_ratio()]),
+                    ("_big_terms", [small.as_integer_ratio()])]
+    seen.clear()
+    phases.unit_sums([1 << 63], [0.3])
+    assert seen == [("_big_terms", [(0.3).as_integer_ratio()])]
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +114,17 @@ def fsum_list(x):
 
 
 def assert_kernel_matches(x, monkeypatch):
-    """exact_sum(x) == fsum, with fsum unreachable from the bucket route."""
+    """exact_sum(x) == fsum, with the bucket route barred from falling back
+    to math.fsum of the terms themselves (it sums its bucket values)."""
     want = fsum_list(x)
+    terms = x.tolist()
 
-    def refuse(_):
-        raise AssertionError("the bucket route fell back to math.fsum")
+    def buckets_only(values):
+        if values == terms:
+            raise AssertionError("the bucket route fell back to math.fsum")
+        return math.fsum(values)
 
-    monkeypatch.setattr(phases, "math", SimpleNamespace(fsum=refuse))
+    monkeypatch.setattr(phases, "math", SimpleNamespace(fsum=buckets_only))
     assert phases.exact_sum(x).hex() == want.hex()
 
 
@@ -210,3 +228,106 @@ def test_frequencies_past_int64_stay_python_ints(a):
     freqs = ea.frequencies(spec)
     assert isinstance(freqs, tuple) and max(freqs) == 2000**6 > I64_MAX
     assert ea.eval_at(spec, a) == literal([x**6 for x in range(1, 2001)], a)[1]
+
+
+# ---------------------------------------------------------------------------
+# unit_sums: the per-alpha unit_sum of before, at every alpha, bit for bit
+# ---------------------------------------------------------------------------
+
+SMALL = 2.0**-12 * 0.7371                       # 2^e > 2^64: big-integer route
+ALPHAS = [0.3, SMALL, 0.0, -0.0, -0.3, 0.7071067811865476, 0.3, -5.25,
+          2.0**-11 * 0.9, SMALL, 0.1, 0.9999,
+          2.0**-12 * (1 + EPS)]                 # 2^e = 2^64: the uint64 route
+
+
+@pytest.mark.parametrize("freqs", [
+    np.arange(-40, 60, dtype=np.int64) ** 3,
+    list(range(1, 300)),
+    np.arange(1, 2001, dtype=np.int64) ** 2,    # one row past the crossover
+    [1 << 63, -1],                              # numpy reads float64
+    [1 << 63, 2],                               # numpy reads uint64
+    [-(1 << 63) - 1, 2],                        # numpy reads object
+    [1 << 90, 3, -7],
+    ea.frequencies(ea.FullInterval(P=1200, k=6)),   # 1200 Python ints
+], ids=["int64", "ints", "int64_2000", "float64", "uint64", "object", "big",
+        "big_1200"])
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_unit_sums_match_per_alpha_oracle(freqs, rows, monkeypatch):
+    # rows alphas per block: one, several, and more than the batch holds
+    monkeypatch.setattr(phases, "_BLOCK", rows * len(freqs))
+    blocks = []
+    for name in ("_word_terms", "_big_terms"):
+        monkeypatch.setattr(phases, name, lambda fs, ratios, route=getattr(
+            phases, name): blocks.append(len(ratios)) or route(fs, ratios))
+    want = [oracles.unit_sum_per_alpha(freqs, a) for a in ALPHAS]
+    got = phases.unit_sums(freqs, ALPHAS)
+    assert sum(blocks) == len(ALPHAS) and max(blocks) <= rows
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
+    assert phases.unit_sums(freqs, []) == []
+    assert phases.unit_sum(freqs, ALPHAS[1]) == want[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ea.eval_at(ea.FullInterval(5, 3), NAN),
+    lambda: ea.eval_at(ea.FullInterval(5, 3), INF),
+    lambda: ea.eval_at(ea.FullInterval(5, 3), -INF),
+    lambda: df.f_i_sum(NAN, 2, 3, [2], [(2, 3)], 4),
+    lambda: df.f_i_sum(INF, 2, 3, [2], [(2, 3)], 4),
+    lambda: phases.unit_sum([1.5, 2, 3], 0.25),
+    lambda: phases.unit_sum(np.array([1.0, 2.0]), 0.25),
+    lambda: phases.unit_sum([1, 2, 3], "0.5"),
+    lambda: phases.unit_sums([1, 2, 3], [0.5, None]),
+], ids=["nan", "inf", "neg_inf", "f_i_sum_nan", "f_i_sum_inf", "float_frequency",
+        "float_array", "str_alpha", "none_alpha"])
+def test_bad_input_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# The row kernel: math.fsum of every row, and fsum of the row only where the
+# module docstring sends it there
+# ---------------------------------------------------------------------------
+
+def special_rows(n, rng):
+    """Rows of length n: the first three are summed by buckets, the rest
+    fall back to math.fsum of the row."""
+    wide = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+    tie = np.zeros(n)
+    tie[0] = 2.0**53
+    tie[-1] += 1.0                              # a tie: rounds to even, down
+    half = rng.permutation(np.concatenate([wide[:n // 2], -wide[:n // 2],
+                                           np.zeros(n % 2)]))
+    big = (np.repeat(rng.uniform(2.0**1021, 2.0**1022, n), 2)[:n]
+           * np.resize([1.0, 2.0**-20 - 1], n))   # pairs that nearly cancel
+    with_at = lambda v: np.concatenate([[v], wide[1:]])
+    return np.array([
+        wide,
+        rng.integers(-(1 << 52), 1 << 52, n) * 5e-324,     # subnormals
+        tie,
+        with_at(NAN), with_at(INF), with_at(-INF),
+        np.full(n, -0.0),
+        half,                                   # cancels exactly
+        big,                                    # near 2^1023: fsum's overflow rule
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+@pytest.mark.parametrize("chunk", [phases._CHUNK, 300])
+def test_row_sums_match_fsum_row_by_row(n, chunk, monkeypatch):
+    x = special_rows(n, np.random.default_rng(n))
+    want = [math.fsum(r).hex() for r in x.tolist()]
+    summed = []
+
+    def fsum(values):
+        summed.append(values)
+        return math.fsum(values)
+
+    monkeypatch.setattr(phases, "_CHUNK", chunk)
+    monkeypatch.setattr(phases, "math", SimpleNamespace(fsum=fsum))
+    assert [s.hex() for s in phases._row_sums(x)] == want
+    if n >= phases._ROW_BELOW:
+        rows = [tuple(map(float.hex, r)) for r in x.tolist()]
+        summed = {tuple(map(float.hex, v)) for v in summed}
+        assert [r for r in rows if r in summed] == rows[3:]
