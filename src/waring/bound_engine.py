@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
+from operator import itemgetter
 
 from .errors import DomainError, RootBracketError
 
@@ -294,12 +295,12 @@ def gk_bound(k: int, theorem: str | int) -> GkResult:
 
     u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
     u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
-    steps, exact = _coupled_steps(k), []   # exact[s - 2] = (theta, Delta(s))
+    steps, exact = _coupled_steps(k), []   # exact[s - 2] = Delta(s)
 
     def exact_delta(s: int) -> float:
-        if len(exact) < s - 1:   # iterate only as far as read
-            exact.extend(islice(steps, s - 1 - len(exact)))
-        return exact[s - 2][1]
+        if len(exact) < s - 1:   # iterate only as far as read, keeping Delta
+            exact.extend(map(itemgetter(1), islice(steps, s - 1 - len(exact))))
+        return exact[s - 2]
 
     delta_u_closed = delta_bound(k, u)
     delta_u_exact = exact_delta(u)

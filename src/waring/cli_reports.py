@@ -396,31 +396,24 @@ def _cmd_arcs(cfg: RunConfig) -> int:
                  "n_minor": w.n_minor, "n_candidates": w.n_candidates,
                  "provenance": "expsum_arcs.weyl_ratio"})
     spec = expsum_arcs.FullInterval(P=int(P), k=k)
-    t0 = time.perf_counter()
-    exact4 = expsum_arcs.exact_moment(expsum_arcs.abs_power(spec, 4),
-                                      budget_grid=cfg.budget_grid)
-    rows.append({"record": "moment", "moment_id": "abs_f4_full", "P": P,
-                 "k": k, "params": "|f|^4", "region": "full", "value": exact4,
-                 "err_est": 0.0, "seconds": f"{time.perf_counter() - t0:.3f}",
-                 "provenance": "expsum_arcs.exact_moment"})
-    for region in ("major", "minor"):
+    for moment_id, power, region in (
+            ("abs_f4_full", 4, "full"), ("abs_f4_major", 4, "major"),
+            ("abs_f4_minor", 4, "minor"), ("abs_f_k2_major", k + 2, "major")):
         t0 = time.perf_counter()
-        m = expsum_arcs.arc_moment(expsum_arcs.abs_power(spec, 4, region), d,
-                                   samples_per_arc=256)
-        rows.append({"record": "moment", "moment_id": f"abs_f4_{region}",
-                     "P": P, "k": k, "params": "|f|^4", "region": region,
-                     "value": m.value, "err_est": m.err_est,
-                     "seconds": f"{time.perf_counter() - t0:.3f}",
-                     "provenance": "expsum_arcs.arc_moment"})
-    t0 = time.perf_counter()
-    m = expsum_arcs.arc_moment(expsum_arcs.abs_power(spec, k + 2, "major"), d,
-                               samples_per_arc=256)
-    rows.append({"record": "moment", "moment_id": "abs_f_k2_major", "P": P,
-                 "k": k, "params": f"|f|^{k + 2}", "region": "major",
-                 "value": m.value, "err_est": m.err_est,
-                 "ratio_to_P2": m.value / P**2,
-                 "seconds": f"{time.perf_counter() - t0:.3f}",
-                 "provenance": "expsum_arcs.arc_moment"})
+        mspec = expsum_arcs.abs_power(spec, power, region)
+        if region == "full":
+            m = expsum_arcs.exact_moment(mspec, budget_grid=cfg.budget_grid)
+            value, err_est, via = m, 0.0, "exact_moment"
+        else:
+            m = expsum_arcs.arc_moment(mspec, d, samples_per_arc=256)
+            value, err_est, via = m.value, m.err_est, "arc_moment"
+        row = {"record": "moment", "moment_id": moment_id, "P": P, "k": k,
+               "params": f"|f|^{power}", "region": region, "value": value,
+               "err_est": err_est}
+        if moment_id == "abs_f_k2_major":
+            row["ratio_to_P2"] = value / P**2
+        rows.append({**row, "seconds": f"{time.perf_counter() - t0:.3f}",
+                     "provenance": f"expsum_arcs.{via}"})
     _emit(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, rows)
     return 0
 

@@ -1,10 +1,11 @@
 """Product-set constructions over prime windows, and their diagnostics.
 
-The single-exponent construction multiplies a base set by the primes of one
-window [Z/2, Z] per level; the multi-level construction uses a per-level
-exponent schedule and keeps only coprime products (p, x) = 1.  The base of
-the recursion is a full integer interval; its size is recorded in the spec
-because every downstream count depends on it.
+Every construction runs one level loop: level j is the set at level j+1
+times the primes of one window [Z/2, Z].  The single-exponent builders form
+every product; the multi-level one, with a per-level exponent schedule,
+keeps only the coprime products (p, x) = 1.  The base of the recursion is a
+full integer interval; its size is recorded in the spec because every
+downstream count depends on it.
 
 Elements are kept within 64 bits with checked arithmetic: a product that
 would exceed the width raises instead of wrapping.
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import truediv
 
 import numpy as np
 
@@ -110,24 +113,40 @@ class SmoothSet:
     windows: tuple[PrimeWindow, ...]   # in application order, base outward
     collision_count: int
 
-    def __len__(self) -> int:
-        return len(self.elements)
+
+def _window(size: float, level: int, detail: str) -> PrimeWindow:
+    """window_for_size, refusing a window without primes."""
+    w = window_for_size(size)
+    if not w.primes:
+        raise EmptyWindowError(
+            f"level {level}: no primes in [{w.lo}, {w.hi}] ({detail})",
+            level=level)
+    return w
 
 
-def _checked_products(base, primes, coprime: bool) -> tuple[tuple[int, ...], int]:
-    seen = set()
-    attempts = 0
-    for x in base:
-        for p in primes:
-            if coprime and x % p == 0:
-                continue
-            attempts += 1
-            prod = x * p
-            if prod > WIDTH_LIMIT:
-                raise WidthOverflowError(
-                    f"product {x} * {p} exceeds the 64-bit element contract")
-            seen.add(prod)
-    return tuple(sorted(seen)), attempts - len(seen)
+def _product_levels(spec, base, wins, coprime: bool) -> list[SmoothSet]:
+    """The base at level len(wins), then level j = level j+1 times wins[j]
+    down to 0; collision_count sums attempted pairs less distinct products."""
+    sets = [SmoothSet(spec=spec, level=len(wins), elements=tuple(base),
+                      windows=(), collision_count=0)]
+    for j in reversed(range(len(wins))):
+        below, primes = sets[-1], wins[j].primes
+        seen, attempts = set(), 0
+        for x in below.elements:
+            for p in primes:
+                if coprime and x % p == 0:
+                    continue
+                attempts += 1
+                prod = x * p
+                if prod > WIDTH_LIMIT:
+                    raise WidthOverflowError(
+                        f"product {x} * {p} exceeds the 64-bit element contract")
+                seen.add(prod)
+        sets.append(SmoothSet(
+            spec=spec, level=j, elements=tuple(sorted(seen)),
+            windows=below.windows + (wins[j],),
+            collision_count=below.collision_count + attempts - len(seen)))
+    return sets
 
 
 def build_single(base, window: PrimeWindow) -> SmoothSet:
@@ -137,10 +156,7 @@ def build_single(base, window: PrimeWindow) -> SmoothSet:
         raise DomainError("base set must be nonempty")
     if list(base) != sorted(set(base)):
         raise DomainError("base must be sorted and duplicate-free")
-    # every pair is attempted, so lost products = |base|*Z - |elements|
-    elements, collisions = _checked_products(base, window.primes, coprime=False)
-    return SmoothSet(spec=None, level=0, elements=elements,
-                     windows=(window,), collision_count=collisions)
+    return _product_levels(None, base, (window,), coprime=False)[-1]
 
 
 def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSet:
@@ -165,29 +181,15 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
     params = [float(P)]
     for _ in range(levels):
         params.append(params[-1] ** (1.0 / (1.0 + theta)))
-    wins = []
-    for j in range(levels):
-        w = window_for_size(params[j + 1] ** theta)
-        if not w.primes:
-            raise EmptyWindowError(
-                f"level {j}: no primes in [{w.lo}, {w.hi}] "
-                f"(inner parameter {params[j + 1]:.4g})", level=j)
-        wins.append(w)
-    midprod = math.prod(0.75 * params[j + 1] ** theta for j in range(levels))
+    wins = [_window(x**theta, j, f"inner parameter {x:.4g}")
+            for j, x in enumerate(params[1:])]
+    midprod = math.prod(0.75 * x**theta for x in params[1:])
     base_floor = max(1, math.floor(P / midprod))
     spec = SmoothSpec(k=k, mode="single", P_top=float(P), theta=theta,
                       levels=levels, base_floor=base_floor,
                       theta_at_limit=at_limit)
-    elements: tuple[int, ...] = tuple(range(1, base_floor + 1))
-    collisions = 0
-    applied: tuple[PrimeWindow, ...] = ()
-    for j in reversed(range(levels)):
-        elements, lost = _checked_products(elements, wins[j].primes,
-                                           coprime=False)
-        collisions += lost
-        applied = applied + (wins[j],)
-    return SmoothSet(spec=spec, level=0, elements=elements,
-                     windows=applied, collision_count=collisions)
+    return _product_levels(spec, range(1, base_floor + 1), wins,
+                           coprime=False)[-1]
 
 
 def multilevel_spec(k: int, thetas) -> SmoothSpec:
@@ -207,34 +209,13 @@ def build_multilevel(spec: SmoothSpec, P: float) -> list[SmoothSet]:
     """
     if spec.mode != "multi" or spec.thetas is None:
         raise DomainError("spec must be a multi-mode spec with a schedule")
-    k = spec.k
     Z = [P**t for t in spec.thetas]
-    P_levels = [float(P)]
-    for z in Z:
-        P_levels.append(P_levels[-1] / z)
-    wins = []
-    for i, z in enumerate(Z):
-        w = window_for_size(z)
-        if not w.primes:
-            raise EmptyWindowError(
-                f"level {i + 1}: no primes in [{w.lo}, {w.hi}] "
-                f"(Z_{i + 1} = {z:.4g})", level=i + 1)
-        wins.append(w)
-    base_floor = max(1, math.floor(P_levels[k]))
+    wins = [_window(z, i, f"Z_{i} = {z:.4g}") for i, z in enumerate(Z, start=1)]
+    # P_k = P/Z_1/.../Z_k in that order; P/prod(Z) rounds differently
+    base_floor = max(1, math.floor(reduce(truediv, Z, float(P))))
     filled = replace(spec, P_top=float(P), base_floor=base_floor)
-    current = tuple(range(1, base_floor + 1))
-    applied: tuple[PrimeWindow, ...] = ()
-    sets = [SmoothSet(spec=filled, level=k, elements=current,
-                      windows=(), collision_count=0)]
-    total_collisions = 0
-    for i in reversed(range(k)):  # level i from level i+1 via window i+1
-        elements, lost = _checked_products(current, wins[i].primes, coprime=True)
-        total_collisions += lost
-        applied = applied + (wins[i],)
-        sets.append(SmoothSet(spec=filled, level=i, elements=elements,
-                              windows=applied, collision_count=total_collisions))
-        current = elements
-    return sets
+    return _product_levels(filled, range(1, base_floor + 1), wins,
+                           coprime=True)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Reference routes that share no code with the fast paths they check, and
 test-only helpers: modified_diff reaches the difference kernel psi_chains
 runs, write_set writes the set files that read_set and count --set read,
-and weyl_ratio_per_candidate checks weyl_ratio's one batched pass against
-eval_at at each point."""
+weyl_ratio_per_candidate checks weyl_ratio's one batched pass against
+eval_at at each point, and product_levels_literal builds the smooth_sets
+constructions level by level from their definition."""
 
 import math
 import operator
@@ -126,6 +127,25 @@ def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
     if m < 1 or h < 1:
         raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
     return make_poly(differences._diff(phi.coeffs, h, h * m))
+
+
+def product_levels_literal(base, windows, coprime: bool) -> list[tuple]:
+    """(elements, windows applied, lost products) at level len(windows), then
+    at each level j down to 0, where level j is {x p : x in level j+1, p prime
+    in windows[j]} and, when coprime, p does not divide x.  A window is an
+    inclusive (lo, hi) pair, applied as (lo, hi, primes by trial division);
+    lost products are attempted pairs less distinct products, summed."""
+    level, applied, lost = set(base), (), 0
+    out = [(tuple(sorted(level)), applied, lost)]
+    for lo, hi in reversed(windows):
+        primes = tuple(n for n in range(max(2, lo), hi + 1)
+                       if all(n % d for d in range(2, math.isqrt(n) + 1)))
+        pairs = [(x, p) for x in level for p in primes
+                 if not (coprime and x % p == 0)]
+        level = {x * p for x, p in pairs}
+        applied, lost = applied + ((lo, hi, primes),), lost + len(pairs) - len(level)
+        out.append((tuple(sorted(level)), applied, lost))
+    return out
 
 
 def write_set(path, smooth) -> None:

@@ -207,6 +207,12 @@ class TestGkBound:
     def test_pinned_regressions(self, k, thm, pinned):
         assert be.gk_bound(k, thm).bound == pinned
 
+    def test_pinned_t2_large_k(self):
+        # the exact scan reads Delta(s) past s = 830,000, and keeps Delta alone
+        r = be.gk_bound(100_000, "T2")
+        assert (r.bound, r.choice["bound_exact_delta"],
+                r.choice["scan_exact_bound_best"]) == (1762313, 1834093, 1762297)
+
     def test_t2_below_t1(self):
         for k in (10, 20, 50):
             assert be.gk_bound(k, 2).bound < be.gk_bound(k, 1).bound

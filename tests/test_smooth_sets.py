@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import write_set
+from oracles import product_levels_literal, write_set
 from waring import smooth_sets as sm
 from waring.bound_engine import theta_schedule
 from waring.errors import (DomainError, EmptyWindowError, WidthOverflowError)
@@ -211,6 +211,85 @@ class TestBuildMultilevel:
     def test_determinism(self):
         again = sm.build_multilevel(self.spec, 1e4)
         assert [s.elements for s in again] == [s.elements for s in self.sets]
+
+
+def _window(z):
+    """The inclusive integer window [ceil(z/2), floor(z)] of a size z."""
+    return max(2, math.ceil(z / 2)), math.floor(z)
+
+
+def _as_levels(sets):
+    return [(s.elements, tuple((w.lo, w.hi, w.primes) for w in s.windows),
+             s.collision_count) for s in sets]
+
+
+class TestLevelsAgainstOracle:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("P", [1e4, 1e6, 1e7])
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    def test_multilevel_every_level(self, k, P, delta):
+        sched = theta_schedule(k, delta)
+        sets = sm.build_multilevel(sm.multilevel_spec(k, sched), P)
+        zs = [P**t for t in sched.thetas]
+        P_k = P
+        for z in zs:
+            P_k /= z
+        base_floor = max(1, math.floor(P_k))
+        assert {s.spec.base_floor for s in sets} == {base_floor}
+        assert [s.level for s in sets] == list(range(k, -1, -1))
+        assert _as_levels(sets) == product_levels_literal(
+            range(1, base_floor + 1), [_window(z) for z in zs], coprime=True)
+
+    def test_coprime_filter_can_empty_level_zero(self):
+        # windows 1 and 2 are both [6, 10] = {7}: level 1 is all multiples
+        # of 7, so no pair at level 0 is coprime
+        sets = sm.build_multilevel(
+            sm.multilevel_spec(4, theta_schedule(4, 2.0)), 1e6)
+        assert [(w.lo, w.hi, w.primes) for w in sets[-1].windows[-2:]] == \
+            [(6, 10, (7,)), (6, 10, (7,))]
+        assert [len(s.elements) for s in sets] == [21, 102, 266, 159, 0]
+
+    @pytest.mark.parametrize("k,P,theta", [(3, 1e5, 0.4), (4, 1e4, 0.5),
+                                           (3, 1e6, 0.35)])
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    def test_single_levels_final_level(self, k, P, theta, levels):
+        out = sm.build_single_levels(k, P, theta, levels)
+        params = [float(P)]
+        for _ in range(levels):
+            params.append(params[-1] ** (1.0 / (1.0 + theta)))
+        zs = [x**theta for x in params[1:]]
+        base_floor = max(1, math.floor(P / math.prod(0.75 * z for z in zs)))
+        assert out.level == 0 and out.spec.base_floor == base_floor
+        assert _as_levels([out]) == product_levels_literal(
+            range(1, base_floor + 1), [_window(z) for z in zs],
+            coprime=False)[-1:]
+
+    @pytest.mark.parametrize("base,lo,hi", [
+        ([1, 2, 3], 5, 7), ([2, 5], 2, 5), ([1], 13, 13),
+        (range(1, 40), 2, 7), (range(1, 30), 11, 31), (range(1, 10), 24, 28)])
+    def test_single_layer(self, base, lo, hi):
+        out = sm.build_single(base, sm.primes_in(lo, hi))
+        assert out.level == 0 and out.spec is None
+        assert _as_levels([out]) == product_levels_literal(
+            base, [(lo, hi)], coprime=False)[-1:]
+
+    @pytest.mark.parametrize("build,level,message", [
+        (lambda: sm.build_single_levels(3, 8, 0.4, 1), 0,
+         "level 0: no primes in [2, 1] (inner parameter 4.416)"),
+        (lambda: sm.build_single_levels(3, 100, 0.9, 5), 2,
+         "level 2: no primes in [2, 1] (inner parameter 1.957)"),
+        (lambda: sm.build_single_levels(3, 1e4, 0.4, 5), 4,
+         "level 4: no primes in [2, 1] (inner parameter 5.543)"),
+        (lambda: sm.build_multilevel(
+            sm.multilevel_spec(3, theta_schedule(3, 1.0)), 10.0), 1,
+         "level 1: no primes in [2, 1] (Z_1 = 1.817)"),
+        (lambda: sm.build_multilevel(
+            sm.multilevel_spec(5, theta_schedule(5, 2.0)), 100.0), 1,
+         "level 1: no primes in [2, 1] (Z_1 = 1.935)")])
+    def test_empty_window_messages_pinned(self, build, level, message):
+        with pytest.raises(EmptyWindowError) as err:
+            build()
+        assert (err.value.level, str(err.value)) == (level, message)
 
 
 class TestResidueProfile:
