@@ -554,13 +554,13 @@ class TestSmoothAndDiff:
         (["smooth", "--k", "3", "--P", "10000,20000", "--levels", "2",
           "--q", "5"],
          "e8d831d75c7618ba5e175c25c956ca639c719d2fd04aa7de5e5593aa5e756273"),
+        (["diff", "--k", "3", "--levels", "2", "--delta", "1.0", "--s", "3"],
+         "f36525430d970ac36b3ac812f888ecbb02b7ee5b83497fec096ce9387309eeb9"),
         (["smooth", "--k", "3", "--P", "100000", "--theta", "0.4",
           "--levels", "3"],
          "cd410aad5fd829ece92845ff531307934078eced3ed3e9f1d0065709d53567e8"),
         (["smooth", "--k", "5", "--P", "1e7", "--delta", "2.0"],
          "06ccbe89855f3be9097328ed9650848cc47e02a7f79eb702a499c8ebb97da6d7"),
-        (["diff", "--k", "3", "--levels", "2", "--delta", "1.0", "--s", "3"],
-         "f36525430d970ac36b3ac812f888ecbb02b7ee5b83497fec096ce9387309eeb9"),
     ])
     def test_report_body_bytes_pinned(self, capsys, tmp_path, args, digest):
         # hashes of the bodies written through csv.writer alone
