@@ -255,6 +255,80 @@ def _scan_outward(c: int, arg_at, start: int, lo: int,
     return best
 
 
+class KBounds:
+    """The numeric work of one k, each part done once: sigma_hat from one
+    solve_sigma, and one coupled Delta iteration, kept as Delta alone
+    (deltas[s - 2] = Delta(s)) and extended only as far as it is read.  Both
+    theorems' scans and a report's exponent rows share them; gk_bound is gk
+    on a fresh one."""
+
+    def __init__(self, k: int):
+        self.k, self.sig = k, solve_sigma(k)
+        self.deltas, self._steps = [], map(itemgetter(1), _coupled_steps(k))
+
+    def delta(self, s: int) -> float:
+        if len(self.deltas) < s - 1:
+            self.deltas.extend(islice(self._steps, s - 1 - len(self.deltas)))
+        return self.deltas[s - 2]
+
+    def exponent_rows(self, s_max: int):
+        """(s, lambda_s, Delta(s), theta used, closed bound) for s = 2..s_max,
+        each float computed as delta_iterate(k, s_max) and delta_bound do."""
+        k, theta = self.k, math.nan
+        _check_ks(k, s_max)
+        self.delta(s_max)
+        for s, d in zip(range(2, s_max + 1), self.deltas):
+            yield (s, d + (2 * s - k), d, theta,
+                   2 * k * math.exp(-2 * (s - 1) / (k + 1)))
+            theta = 1.0 / (k + d)
+
+    def gk(self, thm: str) -> GkResult:
+        """gk_bound's result for thm "T1" or "T2"."""
+        k, sig = self.k, self.sig
+        if thm == "T1":
+            vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
+            best_bound, _, v_opt, arg = _scan_outward(
+                7, lambda v: (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v,
+                round(vstar), 0, tie=lambda v: abs(v - vstar))
+            ceil_term = math.ceil(arg)
+            return GkResult(
+                k=k, theorem="T1", bound=best_bound,
+                choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
+                        "ceil_arg": arg},
+                continuous_optimum=vstar,
+                asymptote=2 * k * (math.log(k * math.log(k)) + 1 + math.log(2)),
+                small_k_caveat=k < SMALL_K_CUTOFF,
+            )
+
+        u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
+        u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
+        delta_u_closed = delta_bound(k, u)
+        delta_u_exact = self.delta(u)
+        ceil_term = math.ceil(delta_u_closed / (2 * sig.sigma_hat))
+        bound_exact = 3 + 2 * u + 2 * math.ceil(delta_u_exact / (2 * sig.sigma_hat))
+        closed_opt = 1 + (k + 1) / 2 * math.log(2 * k / ((k + 1) * sig.sigma_hat))
+        d_opt = sig.sigma_hat * (k + 1) / (1 - sig.sigma_hat)
+        exact_opt = 2 + ((k + 1) * math.log((k - 2) / d_opt) + k - 2 - d_opt) / 2
+        scan_closed = _scan_outward(
+            3, lambda uu: delta_bound(k, uu) / (2 * sig.sigma_hat),
+            round(closed_opt), 2)
+        scan_exact = _scan_outward(
+            3, lambda uu: self.delta(uu) / (2 * sig.sigma_hat),
+            round(exact_opt), 2)
+        return GkResult(
+            k=k, theorem="T2", bound=3 + 2 * u + 2 * ceil_term,
+            choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,
+                    "delta_u_bound": delta_u_closed, "delta_u_exact": delta_u_exact,
+                    "bound_exact_delta": bound_exact,
+                    "scan_u_best": scan_closed[2], "scan_bound_best": scan_closed[0],
+                    "scan_exact_u_best": scan_exact[2],
+                    "scan_exact_bound_best": scan_exact[0]},
+            continuous_optimum=u_cont,
+            asymptote=k * math.log(k * math.log(k)),
+            small_k_caveat=k < SMALL_K_CUTOFF,
+        )
+
+
 def gk_bound(k: int, theorem: str | int) -> GkResult:
     """Upper bound for the least number of k-th powers, by either route.
 
@@ -275,55 +349,4 @@ def gk_bound(k: int, theorem: str | int) -> GkResult:
     thm = {"T1": "T1", "T2": "T2", 1: "T1", 2: "T2", "1": "T1", "2": "T2"}.get(theorem)
     if thm is None:
         raise DomainError(f"theorem must be 1 or 2, got {theorem!r}")
-    sig = solve_sigma(k)
-    caveat = k < SMALL_K_CUTOFF
-
-    if thm == "T1":
-        vstar = math.log(sig.mu * (k - 2) / (2 * sig.sigma_hat)) / sig.mu
-        best_bound, _, v_opt, arg = _scan_outward(
-            7, lambda v: (k - 2) / (2 * sig.sigma_hat) * (k / (k + 1)) ** v,
-            round(vstar), 0, tie=lambda v: abs(v - vstar))
-        ceil_term = math.ceil(arg)
-        return GkResult(
-            k=k, theorem="T1", bound=best_bound,
-            choice={"v": v_opt, "t": 1 + ceil_term, "ceil_term": ceil_term,
-                    "ceil_arg": arg},
-            continuous_optimum=vstar,
-            asymptote=2 * k * (math.log(k * math.log(k)) + 1 + math.log(2)),
-            small_k_caveat=caveat,
-        )
-
-    u_cont = 1 + (k + 1) / 2 * math.log(1 / sig.sigma_hat)
-    u = 1 + math.ceil((k + 1) / 2 * math.log(1 / sig.sigma_hat))
-    steps, exact = _coupled_steps(k), []   # exact[s - 2] = Delta(s)
-
-    def exact_delta(s: int) -> float:
-        if len(exact) < s - 1:   # iterate only as far as read, keeping Delta
-            exact.extend(map(itemgetter(1), islice(steps, s - 1 - len(exact))))
-        return exact[s - 2]
-
-    delta_u_closed = delta_bound(k, u)
-    delta_u_exact = exact_delta(u)
-    ceil_term = math.ceil(delta_u_closed / (2 * sig.sigma_hat))
-    bound_exact = 3 + 2 * u + 2 * math.ceil(delta_u_exact / (2 * sig.sigma_hat))
-    closed_opt = 1 + (k + 1) / 2 * math.log(2 * k / ((k + 1) * sig.sigma_hat))
-    d_opt = sig.sigma_hat * (k + 1) / (1 - sig.sigma_hat)
-    exact_opt = 2 + ((k + 1) * math.log((k - 2) / d_opt) + k - 2 - d_opt) / 2
-    scan_closed = _scan_outward(
-        3, lambda uu: delta_bound(k, uu) / (2 * sig.sigma_hat),
-        round(closed_opt), 2)
-    scan_exact = _scan_outward(
-        3, lambda uu: exact_delta(uu) / (2 * sig.sigma_hat),
-        round(exact_opt), 2)
-    return GkResult(
-        k=k, theorem="T2", bound=3 + 2 * u + 2 * ceil_term,
-        choice={"u": u, "t": 1 + ceil_term, "ceil_term": ceil_term,
-                "delta_u_bound": delta_u_closed, "delta_u_exact": delta_u_exact,
-                "bound_exact_delta": bound_exact,
-                "scan_u_best": scan_closed[2], "scan_bound_best": scan_closed[0],
-                "scan_exact_u_best": scan_exact[2],
-                "scan_exact_bound_best": scan_exact[0]},
-        continuous_optimum=u_cont,
-        asymptote=k * math.log(k * math.log(k)),
-        small_k_caveat=caveat,
-    )
+    return KBounds(k).gk(thm)

@@ -7,13 +7,14 @@ carries the same rows with the header metadata inline.  Exit codes: 0 ok,
 
 Reports start with a '# generated:' timestamp line; everything after it is
 deterministic for a fixed config and seed (timing columns excepted, where an
-interface prescribes them).  A CSV row is rendered by a str.format template
-of its shape (its tuple of keys) that takes str() of each value, as
-csv.writer does, and leaves the columns the shape lacks empty.  The line is
-kept if csv.writer would write the same: one comma fewer than there are
-columns, no '"', '\\r', '\\n' or 'None' (csv writes None as ''), and not empty
-(csv writes a lone empty cell as '""').  Other rows, and the header, go
-through csv.writer, so the bodies are byte for byte csv.writer's.
+interface prescribes them).  A CSV row is rendered by a '%s' template of
+its shape (its tuple of keys), filled with its values in column order: it
+takes str() of each value, as csv.writer does, and leaves the columns the
+shape lacks empty.  The line is kept if csv.writer would write the same: one
+comma fewer than there are columns, no '"', '\\r', '\\n' or 'None' (csv
+writes None as ''), and not empty (csv writes a lone empty cell as '""').
+Other rows, and the header, go through csv.writer, so the bodies are byte
+for byte csv.writer's.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from operator import itemgetter
 
 from . import acceptance, aux_count, bound_engine, differences, expsum_arcs, \
     smooth_sets
@@ -207,12 +209,16 @@ def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
         templates = dict.fromkeys(tuple(row) for row in rows)   # row shapes
         cols = list(dict.fromkeys(c for shape in templates for c in shape))
         for shape in templates:
-            templates[shape] = ",".join(
-                "{%d!s}" % shape.index(c) if c in shape else "" for c in cols)
+            keys = [c for c in cols if c in shape]
+            templates[shape] = (
+                ",".join("%s" if c in shape else "" for c in cols),
+                itemgetter(*keys) if len(keys) > 1   # one key gives no tuple
+                else lambda row, keys=keys: tuple(map(row.get, keys)))
         writer = csv.writer(buf)
         writer.writerow(cols)
         for row in rows:
-            line = templates[tuple(row)].format(*row.values())
+            template, values = templates[tuple(row)]
+            line = template % values(row)
             if (line and line.count(",") == len(cols) - 1 and "None" not in line
                     and '"' not in line and "\r" not in line and "\n" not in line):
                 buf.write(line + "\r\n")
@@ -234,9 +240,10 @@ def _cmd_bounds(cfg: RunConfig) -> int:
         raise ConfigError("need --k or --k-range")
     a, b = cfg.k_range or (cfg.k, cfg.k)
     rows = []
-    theorems = [cfg.theorem] if cfg.theorem else ["1", "2"]
+    theorems = ["T" + cfg.theorem] if cfg.theorem else ["T1", "T2"]
     for k in range(a, b + 1):
-        sig = bound_engine.solve_sigma(k)
+        run = bound_engine.KBounds(k)
+        sig = run.sig
         rows.append({
             "record": "sigma", "k": k, "beta": sig.beta,
             "lambda_root": sig.lambda_root, "sigma_hat": sig.sigma_hat,
@@ -244,7 +251,7 @@ def _cmd_bounds(cfg: RunConfig) -> int:
             "provenance": "bound_engine.solve_sigma",
         })
         for thm in theorems:
-            r = bound_engine.gk_bound(k, thm)
+            r = run.gk(thm)
             feat = r.bound
             if r.theorem == "T2" and not cfg.paper_faithful:
                 feat = r.choice["bound_exact_delta"]
@@ -261,16 +268,13 @@ def _cmd_bounds(cfg: RunConfig) -> int:
                 "small_k_caveat": r.small_k_caveat,
                 "provenance": "bound_engine.gk_bound",
             })
-        s_hi = cfg.s or max(20, 2 * k)
-        table = bound_engine.delta_iterate(k, s_hi)
-        for s, lam, delta, theta in zip(range(2, s_hi + 1), table.lambdas,
-                                        table.deltas, table.thetas_used):
+        for s, lam, delta, theta, closed in run.exponent_rows(cfg.s or max(20, 2 * k)):
             rows.append({
                 "record": "exponent", "k": k, "s": s, "lambda": lam,
-                "delta": delta, "theta_used": theta,
-                "delta_closed_bound": bound_engine.delta_bound(k, s),
+                "delta": delta, "theta_used": theta, "delta_closed_bound": closed,
                 "provenance": "bound_engine.delta_iterate",
             })
+    del run   # its Delta list can run far past the rows; free it before _emit
     note = ("bound column: T2 headline uses the closed decay bound at the "
             "prescribed u; the same count written as 1+2u+2t with "
             "t = 1 + ceil-term gives the identical total")

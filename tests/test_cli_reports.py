@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import write_set
+from waring import bound_engine as be
 from waring import cli_reports as cli
 
 
@@ -133,8 +135,59 @@ class TestBounds:
         # hashes of the bodies written through csv.writer alone
         assert body_digest(["bounds"] + args, capsys, tmp_path) == digest
 
+    def test_each_k_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        # the sigma row, both theorems' scans and the exponent rows read one
+        # sigma_hat and one coupled Delta iteration per k; --theorem 1 runs
+        # no scan, so its iteration goes exactly as far as its rows
+        calls, solve, steps = Counter(), be.solve_sigma, be._coupled_steps
 
-_CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}0 aNone\x00\u00e9')),
+        def counted_solve(k):
+            calls["solve_sigma"] += 1
+            return solve(k)
+
+        def counted_steps(k, full=False):
+            calls["_coupled_steps"] += 1
+            for step in steps(k, full):
+                calls["steps"] += 1
+                yield step
+        monkeypatch.setattr(be, "solve_sigma", counted_solve)
+        monkeypatch.setattr(be, "_coupled_steps", counted_steps)
+        out = str(tmp_path / "b.csv")
+        assert run_cli(["bounds", "--k-range", "5:14", "--out", out], capsys)[0] == 0
+        assert (calls["solve_sigma"], calls["_coupled_steps"]) == (10, 10)
+        calls.clear()
+        assert run_cli(["bounds", "--k-range", "5:14", "--theorem", "1",
+                        "--s", "30", "--out", out], capsys)[0] == 0
+        assert calls == {"solve_sigma": 10, "_coupled_steps": 10, "steps": 10 * 29}
+
+    @pytest.mark.parametrize("args,s_hi", [
+        (["--k-range", "3:250"], lambda k: max(20, 2 * k)),
+        (["--k", "7", "--s", "500"], lambda k: 500),       # past the T2 scan
+        (["--k-range", "3:40", "--theorem", "1"], lambda k: max(20, 2 * k)),
+    ])
+    def test_exponent_rows_are_delta_iterate_bit_for_bit(self, monkeypatch, args,
+                                                         s_hi):
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, rows: emitted.extend(rows))
+        assert cli.main(["bounds"] + args) == 0
+        by_k: dict = {}
+        for row in emitted:
+            if row["record"] == "exponent":
+                by_k.setdefault(row["k"], []).append(row)
+        for k, rows in by_k.items():
+            assert [row["s"] for row in rows] == list(range(2, s_hi(k) + 1)), k
+            table = be.delta_iterate(k, s_hi(k))
+            for row, lam, delta, theta in zip(rows, table.lambdas, table.deltas,
+                                              table.thetas_used):
+                got = (row["lambda"], row["delta"], row["theta_used"],
+                       row["delta_closed_bound"])
+                want = (lam, delta, theta, be.delta_bound(k, row["s"]))
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), \
+                    (k, row["s"])
+        assert sorted(by_k) == sorted({row["k"] for row in emitted})
+
+
+_CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}%0 aNone\x00\u00e9')),
                      max_size=6)
 _CELLS = st.one_of(
     st.none(), st.just(""), _CELL_TEXT, st.booleans(),
@@ -154,6 +207,11 @@ class TestCsvWriter:
     @example([{"k": ""}, {"k": None}, {}])
     @example([{"k": 1, "s": 2.5}, {"s": "x", "k": None}, {"P": (1,)}])
     @example([])
+    @example([{"k": 1, "s": 2}, {"s": 3, "k": 4}])      # keys out of column order
+    @example([{"k": 1, "s": 2}, {"s": 2.5}])             # one key
+    @example([{"k": 1, "s": 2}, {}])
+    @example([{"P": (1, 2)}, {"k": 1, "P": (3,)}])       # tuple values
+    @example([{"k": "5%", "s": "%s"}, {"s": "%(k)s %%"}])
     def test_body_is_what_csv_writer_writes(self, rows):
         # whatever the template route takes, the bytes are csv.writer's
         with redirect_stdout(io.StringIO()) as out:
@@ -167,6 +225,29 @@ class TestCsvWriter:
         writer.writerow(cols)
         writer.writerows([row.get(c, "") for c in cols] for row in rows)
         assert body == want.getvalue()
+
+    def test_bounds_rows_take_the_template_route(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # only the header goes through csv.writer; the sigma, gk and exponent
+        # rows, with the small-k caveat and without, come from templates
+        written, real = [], csv.writer
+
+        class Recording:
+            def __init__(self, buf):
+                self._writer = real(buf)
+
+            def writerow(self, row):
+                written.append(row)
+                return self._writer.writerow(row)
+        monkeypatch.setattr(cli.csv, "writer", Recording)
+        body = report_body(["bounds", "--k-range", "8:11"], capsys, tmp_path)
+        rows = list(csv.DictReader(line for line in body.decode().splitlines()
+                                   if not line.startswith("#")))
+        assert Counter(row["record"] for row in rows) == {
+            "sigma": 4, "gk": 8, "exponent": 3 * 19 + 21}
+        assert {row["small_k_caveat"] for row in rows if row["record"] == "gk"} \
+            == {"True", "False"}
+        assert written == [list(rows[0])]
 
 
 class TestConfigHandling:
@@ -330,8 +411,10 @@ class TestConfigHandling:
     def test_unusable_out_fails_before_work(self, capsys, tmp_path, monkeypatch,
                                             name):
         def never(*args, **kwargs):
-            raise AssertionError("gk_bound ran before --out was checked")
-        monkeypatch.setattr(cli.bound_engine, "gk_bound", never)
+            raise AssertionError("bound work ran before --out was checked")
+        # KBounds is the per-k entry _cmd_bounds calls first; it solves sigma
+        for attr in ("KBounds", "solve_sigma", "gk_bound"):
+            monkeypatch.setattr(cli.bound_engine, attr, never)
         (tmp_path / "a_dir").mkdir()
         out = tmp_path / name
         code, _, err = run_cli(["bounds", "--k-range", "5:204", "--out", str(out)],
