@@ -404,10 +404,8 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
     if not (isinstance(s, numbers.Integral) and s >= 2):
         raise DomainError(f"s must be an integer >= 2, got {s!r}")
     inner = smooth_sets.build_single_levels(k, P, theta, base_levels).elements
-    window = smooth_sets.window_for_size(P**theta)
-    if not window.primes:
-        raise DomainError(
-            f"no primes in the top window [{window.lo}, {window.hi}]")
+    window = smooth_sets._window(P**theta, 0,
+                                 f"lemma 1 top window, P^theta = {P**theta:.4g}")
     outer = smooth_sets.build_single(inner, window).elements
     Z = window.Z
     lhs = s_count(outer, s, k, budget_ops=budget_ops).S

@@ -14,19 +14,22 @@ shape lacks empty.  The line is kept if csv.writer would write the same: one
 comma fewer than there are columns, no '"', '\\r', '\\n' or 'None' (csv
 writes None as ''), and not empty (csv writes a lone empty cell as '""').
 Other rows, and the header, go through csv.writer, so the bodies are byte
-for byte csv.writer's.
+for byte csv.writer's.  CSV rows are written as they are computed; --out
+is replaced only when its report is complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import errno
 import json
 import math
 import os
+import stat
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -187,75 +190,122 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write(path: str, text: str) -> None:
+@contextmanager
+def _report(path: str | None):
+    """The file a report is written to: stdout, or a sibling temporary file
+    that replaces `path` only once the report is complete, so a run that
+    fails leaves no partial report and an older one as it was.  A `path`
+    that exists but is no regular file (/dev/null, a FIFO) is written in
+    place; one that exists and is not writable is refused."""
+    if path is None:
+        yield sys.stdout
+        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            mode = os.stat(path).st_mode   # through a symlink, as open(path) goes
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            # a device, FIFO or /dev/fd/N has no file to replace: write it
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        if mode is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        target = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(target),
+                           f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        with open(tmp, "x", encoding="utf-8") as fh:   # refuses a planted name
+            try:
+                if mode is not None:   # open(path, "w") keeps an existing mode
+                    os.chmod(tmp, stat.S_IMODE(mode))
+                yield fh
+                fh.close()
+                os.replace(tmp, target)
+            finally:
+                with suppress(OSError):
+                    os.remove(tmp)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(cfg: RunConfig, meta: dict, rows: list) -> None:
+def _columns(rows: list) -> list:
+    """The keys of a list of rows, in the order they first appear."""
+    return list(dict.fromkeys(c for row in rows for c in row))
+
+
+def _template(columns: list, shape: tuple) -> tuple:
+    """The '%s' line of a row shape and the getter of its values."""
+    keys = [c for c in columns if c in shape]
+    return (",".join("%s" if c in shape else "" for c in columns),
+            itemgetter(*keys) if len(keys) > 1   # one key gives no tuple
+            else lambda row: tuple(map(row.get, keys)))
+
+
+def _emit(cfg: RunConfig, meta: dict, columns: list, rows) -> None:
+    """Write a report of `rows` (dicts over `columns`) to --out or stdout.
+    CSV rows are written as they arrive; JSON collects them first."""
     meta = {"flags": f"paper_faithful={cfg.paper_faithful} seed={cfg.seed}",
             **meta}
-    if cfg.format == "json":
-        payload = {"generated": _timestamp(), "meta": meta, "rows": rows}
-        text = json.dumps(payload, indent=2, default=str) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# generated: {_timestamp()}\n")
+    with _report(cfg.out) as fh:
+        if cfg.format == "json":
+            payload = {"generated": _timestamp(), "meta": meta, "rows": list(rows)}
+            fh.write(json.dumps(payload, indent=2, default=str) + "\n")
+            return
+        fh.write(f"# generated: {_timestamp()}\n")
         for key, val in meta.items():
-            buf.write(f"# {key}: {val}\n")
-        templates = dict.fromkeys(tuple(row) for row in rows)   # row shapes
-        cols = list(dict.fromkeys(c for shape in templates for c in shape))
-        for shape in templates:
-            keys = [c for c in cols if c in shape]
-            templates[shape] = (
-                ",".join("%s" if c in shape else "" for c in cols),
-                itemgetter(*keys) if len(keys) > 1   # one key gives no tuple
-                else lambda row, keys=keys: tuple(map(row.get, keys)))
-        writer = csv.writer(buf)
-        writer.writerow(cols)
+            fh.write(f"# {key}: {val}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        templates = {}   # row shape -> _template
         for row in rows:
-            template, values = templates[tuple(row)]
+            shape = tuple(row)
+            try:
+                template, values = templates[shape]
+            except KeyError:
+                template, values = templates[shape] = _template(columns, shape)
             line = template % values(row)
-            if (line and line.count(",") == len(cols) - 1 and "None" not in line
+            if (line and line.count(",") == len(columns) - 1 and "None" not in line
                     and '"' not in line and "\r" not in line and "\n" not in line):
-                buf.write(line + "\r\n")
+                fh.write(line + "\r\n")
             else:
-                writer.writerow([row.get(c, "") for c in cols])
-        text = buf.getvalue()
-    if cfg.out:
-        _write(cfg.out, text)
-    else:
-        sys.stdout.write(text)
+                writer.writerow([row.get(c, "") for c in columns])
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.k is None and cfg.k_range is None:
-        raise ConfigError("need --k or --k-range")
-    a, b = cfg.k_range or (cfg.k, cfg.k)
-    rows = []
+# the keys of the three bounds records, in column order; the rows below are
+# dict displays, which build twice as fast as dict(zip(keys, values))
+_SIGMA_KEYS = ("record", "k", "beta", "lambda_root", "sigma_hat", "mu", "s_star",
+               "provenance")
+_GK_KEYS = ("record", "k", "theorem", "bound", "bound_paper", "bound_exact_delta",
+            "scan_best", "choice", "continuous_optimum", "asymptote",
+            "ratio_to_asymptote", "small_k_caveat", "provenance")
+_EXPONENT_KEYS = ("record", "k", "s", "lambda", "delta", "theta_used",
+                  "delta_closed_bound", "provenance")
+
+
+def _bounds_rows(cfg: RunConfig, a: int, b: int):
+    """The rows of each k in a..b, from one KBounds per k; a k's Delta list
+    is dropped when the next k's KBounds replaces it."""
     theorems = ["T" + cfg.theorem] if cfg.theorem else ["T1", "T2"]
     for k in range(a, b + 1):
         run = bound_engine.KBounds(k)
         sig = run.sig
-        rows.append({
+        yield {
             "record": "sigma", "k": k, "beta": sig.beta,
             "lambda_root": sig.lambda_root, "sigma_hat": sig.sigma_hat,
             "mu": sig.mu, "s_star": sig.s_star,
             "provenance": "bound_engine.solve_sigma",
-        })
+        }
         for thm in theorems:
             r = run.gk(thm)
             feat = r.bound
             if r.theorem == "T2" and not cfg.paper_faithful:
                 feat = r.choice["bound_exact_delta"]
-            rows.append({
+            yield {
                 "record": "gk", "k": k, "theorem": r.theorem, "bound": feat,
                 "bound_paper": r.bound,
                 "bound_exact_delta": r.choice.get("bound_exact_delta", r.bound),
@@ -267,18 +317,26 @@ def _cmd_bounds(cfg: RunConfig) -> int:
                 "ratio_to_asymptote": r.bound / r.asymptote,
                 "small_k_caveat": r.small_k_caveat,
                 "provenance": "bound_engine.gk_bound",
-            })
+            }
         for s, lam, delta, theta, closed in run.exponent_rows(cfg.s or max(20, 2 * k)):
-            rows.append({
+            yield {
                 "record": "exponent", "k": k, "s": s, "lambda": lam,
                 "delta": delta, "theta_used": theta, "delta_closed_bound": closed,
                 "provenance": "bound_engine.delta_iterate",
-            })
-    del run   # its Delta list can run far past the rows; free it before _emit
+            }
+
+
+def _cmd_bounds(cfg: RunConfig) -> int:
+    if cfg.k is None and cfg.k_range is None:
+        raise ConfigError("need --k or --k-range")
+    a, b = cfg.k_range or (cfg.k, cfg.k)
+    bound_engine._check_ks(a, cfg.s or 2)   # every k >= a; before any byte
     note = ("bound column: T2 headline uses the closed decay bound at the "
             "prescribed u; the same count written as 1+2u+2t with "
             "t = 1 + ceil-term gives the identical total")
-    _emit(cfg, {"subcommand": "bounds", "note": note}, rows)
+    _emit(cfg, {"subcommand": "bounds", "note": note},
+          list(dict.fromkeys(_SIGMA_KEYS + _GK_KEYS + _EXPONENT_KEYS)),
+          _bounds_rows(cfg, a, b))
     return 0
 
 
@@ -325,7 +383,7 @@ def _cmd_count(cfg: RunConfig) -> int:
                      "S": res.S, "diag_lb": res.diagonal_lb,
                      "seconds": f"{dt:.3f}", "p": p, "q": q,
                      "provenance": "aux_count.t_pq_count"})
-    _emit(cfg, {"subcommand": "count"}, rows)
+    _emit(cfg, {"subcommand": "count"}, _columns(rows), rows)
     return 0
 
 
@@ -378,7 +436,7 @@ def _cmd_smooth(cfg: RunConfig) -> int:
     note = ("base of the recursion: single mode uses the interval "
             "[1, floor(P/prod(window midpoints))], multi mode the interval "
             "[1, floor(P_k)]; sizes depend on this choice")
-    _emit(cfg, {"subcommand": "smooth", "note": note}, rows)
+    _emit(cfg, {"subcommand": "smooth", "note": note}, _columns(rows), rows)
     return 0
 
 
@@ -418,7 +476,8 @@ def _cmd_arcs(cfg: RunConfig) -> int:
             row["ratio_to_P2"] = value / P**2
         rows.append({**row, "seconds": f"{time.perf_counter() - t0:.3f}",
                      "provenance": f"expsum_arcs.{via}"})
-    _emit(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, rows)
+    _emit(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, _columns(rows),
+          rows)
     return 0
 
 
@@ -455,7 +514,7 @@ def _cmd_diff(cfg: RunConfig) -> int:
                          "P": P, "U": terms.U, "V": terms.V,
                          "residual": terms.residual,
                          "provenance": "differences.lemma7_terms"})
-    _emit(cfg, {"subcommand": "diff"}, rows)
+    _emit(cfg, {"subcommand": "diff"}, _columns(rows), rows)
     return 0
 
 
@@ -470,8 +529,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     print(f"{len(results) - n_fail}/{len(results)} criteria passed"
           f" ({mode} mode, seed {cfg.seed})")
     if cfg.out:
-        _write(cfg.out, f"# generated: {_timestamp()}\n"
-               f"# mode: {mode} seed={cfg.seed}\n{body}")
+        with _report(cfg.out) as fh:
+            fh.write(f"# generated: {_timestamp()}\n"
+                     f"# mode: {mode} seed={cfg.seed}\n{body}")
     return 4 if n_fail else 0
 
 

@@ -24,7 +24,7 @@ class BudgetError(WaringError):
         self.budget = budget
 
 
-class EmptyWindowError(WaringError):
+class EmptyWindowError(DomainError):
     """A construction level's prime window contains no primes."""
 
     def __init__(self, message: str, level: int | None = None):

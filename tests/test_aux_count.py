@@ -13,7 +13,8 @@ from oracles import brute_force_s_count
 from waring import aux_count as ac
 from waring import bound_engine, smooth_sets
 from waring import expsum_arcs as ea
-from waring.errors import BudgetError, CoprimalityError, DomainError
+from waring.errors import (BudgetError, CoprimalityError, DomainError,
+                           EmptyWindowError)
 
 
 class TestRepFunction:
@@ -599,6 +600,16 @@ class TestLemma1:
         with pytest.warns(UserWarning):
             with pytest.raises(DomainError):
                 ac.lemma1_check(3, 2, 4, 0.2, base_levels=0)
+
+    def test_empty_top_window_is_the_construction_error(self):
+        # the same check as every level of smooth_sets: EmptyWindowError with
+        # its level, which is a DomainError too
+        with pytest.raises(EmptyWindowError) as err:
+            ac.lemma1_check(3, 2, 2.5, 0.4)
+        assert str(err.value) == ("level 0: no primes in [2, 1] "
+                                  "(lemma 1 top window, P^theta = 1.443)")
+        assert err.value.level == 0
+        assert isinstance(err.value, DomainError)
 
     @pytest.mark.parametrize("s", [1, 0, -2, 2.0, 2.5, "3", None])
     def test_s_refused_before_any_set(self, monkeypatch, s):

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import write_set
 from waring import bound_engine as be
 from waring import cli_reports as cli
+from waring.errors import DomainError
 
 
 def run_cli(args, capsys):
@@ -37,6 +41,11 @@ def report_body(args, capsys, tmp_path):
 
 def body_digest(args, capsys, tmp_path):
     return hashlib.sha256(report_body(args, capsys, tmp_path)).hexdigest()
+
+
+def out_lines(path) -> int:
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh)
 
 
 def rows_without_seconds(args, capsys, tmp_path):
@@ -168,7 +177,8 @@ class TestBounds:
     def test_exponent_rows_are_delta_iterate_bit_for_bit(self, monkeypatch, args,
                                                          s_hi):
         emitted = []
-        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, rows: emitted.extend(rows))
+        monkeypatch.setattr(cli, "_emit",
+                            lambda cfg, meta, columns, rows: emitted.extend(rows))
         assert cli.main(["bounds"] + args) == 0
         by_k: dict = {}
         for row in emitted:
@@ -185,6 +195,69 @@ class TestBounds:
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), \
                     (k, row["s"])
         assert sorted(by_k) == sorted({row["k"] for row in emitted})
+
+    def test_columns_are_the_keys_of_the_rows(self, monkeypatch):
+        # the header is the union of the record key tuples; it must be the
+        # keys of the rows in the order they first appear
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, columns, rows:
+                            emitted.append((columns, list(rows))))
+        assert cli.main(["bounds", "--k-range", "3:6"]) == 0
+        (columns, rows), = emitted
+        assert columns == cli._columns(rows)
+        assert {tuple(row) for row in rows} == {
+            cli._SIGMA_KEYS, cli._GK_KEYS, cli._EXPONENT_KEYS}
+
+    def test_memory_stays_flat_across_the_k_range(self, capsys, tmp_path):
+        # rows are written as they are computed and each k's Delta list is
+        # dropped before the next k; collecting the rows of 3:80 and writing
+        # them at the end would peak near 5 MiB
+        out = str(tmp_path / "b.csv")
+        tracemalloc.start()
+        try:
+            code = cli.main(["bounds", "--k-range", "3:80", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
+        # four '#' lines and the header, then per k sigma, T1, T2, exponents
+        assert out_lines(out) == 5 + sum(3 + max(20, 2 * k) - 1
+                                         for k in range(3, 81))
+
+    @pytest.mark.parametrize("args,message", [
+        (["--k", "2"], "k must be >= 3, got 2"),
+        (["--k-range", "2:40"], "k must be >= 3, got 2"),
+        (["--k", "5", "--s", "1"], "s must be >= 2, got 1"),
+        (["--k-range", "3:40", "--s", "1"], "s must be >= 2, got 1"),
+    ])
+    def test_refused_before_the_first_byte(self, capsys, tmp_path, args, message):
+        out = tmp_path / "f"
+        for dest in (["--out", str(out)], []):
+            code, stdout, err = run_cli(["bounds"] + args + dest, capsys)
+            assert code == 1
+            assert json.loads(err) == {"error": "DomainError", "message": message}
+            assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_report_keeps_the_old_file(self, capsys, tmp_path,
+                                                   monkeypatch):
+        real = be.KBounds
+
+        def failing(k):
+            if k == 7:
+                raise DomainError("injected at the third k")
+            return real(k)
+        monkeypatch.setattr(cli.bound_engine, "KBounds", failing)
+        out = tmp_path / "f"
+        out.write_bytes(b"# an older report\r\n")
+        code, stdout, err = run_cli(["bounds", "--k-range", "5:9", "--out", str(out)],
+                                    capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+        assert stdout == ""
+        assert out.read_bytes() == b"# an older report\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]   # no temporary file
 
 
 _CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}%0 aNone\x00\u00e9')),
@@ -215,7 +288,7 @@ class TestCsvWriter:
     def test_body_is_what_csv_writer_writes(self, rows):
         # whatever the template route takes, the bytes are csv.writer's
         with redirect_stdout(io.StringIO()) as out:
-            cli._emit(cli.RunConfig(command="bounds"), {}, rows)
+            cli._emit(cli.RunConfig(command="bounds"), {}, cli._columns(rows), rows)
         generated, flags, body = out.getvalue().split("\n", 2)
         assert generated.startswith("# generated: ")
         assert flags.startswith("# flags: ")
@@ -424,6 +497,106 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert str(out) in record["message"]
         assert [p.name for p in tmp_path.rglob("*")] == ["a_dir"]  # nothing written
+
+    @pytest.mark.parametrize("args", [["bounds", "--k", "5"],
+                                      ["bounds", "--k", "5", "--format", "json"],
+                                      ["verify", "--quick"]])
+    def test_out_has_the_mode_of_a_plain_open(self, capsys, tmp_path, monkeypatch,
+                                              args):
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kw: [])
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        out = tmp_path / "report"
+        assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_text().startswith(("# generated: ", '{\n  "generated": '))
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "report"]
+
+    def test_existing_out_keeps_its_mode_and_symlink(self, capsys, tmp_path):
+        # as open(path, "w") does: the target of a symlink is rewritten, and
+        # an existing file keeps its permission bits
+        real = tmp_path / "real.csv"
+        real.write_text("old")
+        os.chmod(real, 0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert run_cli(["bounds", "--k", "5", "--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("# generated: ")
+        assert os.stat(real).st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    @pytest.mark.parametrize("args", [["bounds", "--k", "5"],
+                                      ["verify", "--quick"]])
+    def test_out_that_is_no_regular_file_is_written_in_place(
+            self, capsys, tmp_path, monkeypatch, args):
+        # a FIFO, and a pipe named as /dev/fd/N, get the report and stay as
+        # they were: no temporary file, no rename over the node
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kw: [])
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        read_end, write_end = os.pipe()
+        try:
+            for out, source in ((str(fifo), reader),
+                                (f"/dev/fd/{write_end}", read_end)):
+                assert run_cli(args + ["--out", out], capsys)[0] == 0
+                assert os.read(source, 1 << 16).startswith(b"# generated: ")
+        finally:
+            for fd in (reader, read_end, write_end):
+                os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a 0444 file")
+    def test_write_protected_out_is_refused_and_kept(self, capsys, tmp_path):
+        out = tmp_path / "report"
+        out.write_bytes(b"old")
+        os.chmod(out, 0o444)
+        code, stdout, err = run_cli(["bounds", "--k", "5", "--out", str(out)],
+                                    capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot write {out}: ")
+        assert stdout == ""
+        assert out.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_planted_temporary_name_is_refused(self, capsys, tmp_path):
+        # the temporary file is opened with "x": a file or symlink already
+        # under its name is neither followed nor truncated nor removed
+        out = tmp_path / "report"
+        out.write_bytes(b"old")
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"kept")
+        (tmp_path / f".report.{os.getpid()}.tmp").symlink_to(victim)
+        code, _, err = run_cli(["bounds", "--k", "5", "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(err)["message"].startswith(f"cannot write {out}: ")
+        assert out.read_bytes() == b"old"
+        assert victim.read_bytes() == b"kept"
+        assert (tmp_path / f".report.{os.getpid()}.tmp").is_symlink()
+
+    @pytest.mark.parametrize("args", [["bounds", "--k", "5"],
+                                      ["verify", "--quick"]])
+    def test_failed_replace_is_config_error(self, capsys, tmp_path, monkeypatch,
+                                            args):
+        # every report file is written by one function, which maps OSError
+        # to ConfigError and leaves neither a temporary file nor a new report
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kw: [])
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "report"
+        out.write_bytes(b"old")
+        code, _, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot write {out}: ")
+        assert out.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
     @pytest.mark.parametrize("args,text", [(["bounds", "--k", "5", "--bogus", "1"],
                                             "--bogus"),
