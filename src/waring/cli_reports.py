@@ -7,15 +7,10 @@ carries the same rows with the header metadata inline.  Exit codes: 0 ok,
 
 Reports start with a '# generated:' timestamp line; everything after it is
 deterministic for a fixed config and seed (timing columns excepted, where an
-interface prescribes them).  A CSV row is rendered by a '%s' template of
-its shape (its tuple of keys), filled with its values in column order: it
-takes str() of each value, as csv.writer does, and leaves the columns the
-shape lacks empty.  The line is kept if csv.writer would write the same: one
-comma fewer than there are columns, no '"', '\\r', '\\n' or 'None' (csv
-writes None as ''), and not empty (csv writes a lone empty cell as '""').
-Other rows, and the header, go through csv.writer, so the bodies are byte
-for byte csv.writer's.  CSV rows are written as they are computed; --out
-is replaced only when its report is complete.
+interface prescribes them).  Handlers pass _emit blocks of rows, which it
+writes as they are computed, byte for byte as csv.writer or as
+json.dumps(payload, indent=2) would write the whole report; --out is
+replaced only when its report is complete.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import islice
 from operator import itemgetter
 
 from . import acceptance, aux_count, bound_engine, differences, expsum_arcs, \
@@ -229,55 +225,68 @@ def _report(path: str | None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _columns(rows: list) -> list:
-    """The keys of a list of rows, in the order they first appear."""
-    return list(dict.fromkeys(c for row in rows for c in row))
-
-
-def _template(columns: list, shape: tuple) -> tuple:
-    """The '%s' line of a row shape and the getter of its values."""
-    keys = [c for c in columns if c in shape]
-    return (",".join("%s" if c in shape else "" for c in columns),
-            itemgetter(*keys) if len(keys) > 1   # one key gives no tuple
-            else lambda row: tuple(map(row.get, keys)))
-
-
-def _emit(cfg: RunConfig, meta: dict, columns: list, rows) -> None:
-    """Write a report of `rows` (dicts over `columns`) to --out or stdout.
-    CSV rows are written as they arrive; JSON collects them first."""
+def _emit(cfg: RunConfig, meta: dict, columns: list, blocks) -> None:
+    """Write a report of `blocks` to --out or stdout, each block as it
+    arrives.  A block is (keys, rows): a tuple of columns and a non-empty
+    list of value tuples in the order of `keys`.  A JSON block is json.dumps
+    of its rows, indented to their place in the payload.  A CSV block is
+    the lines of its key tuple's '%s' template, filled with each row's
+    values in column order, if csv.writer would write the same text, and
+    csv.writer's lines if it would not."""
     meta = {"flags": f"paper_faithful={cfg.paper_faithful} seed={cfg.seed}",
             **meta}
     with _report(cfg.out) as fh:
-        if cfg.format == "json":
-            payload = {"generated": _timestamp(), "meta": meta, "rows": list(rows)}
-            fh.write(json.dumps(payload, indent=2, default=str) + "\n")
-            return
-        fh.write(f"# generated: {_timestamp()}\n")
-        for key, val in meta.items():
-            fh.write(f"# {key}: {val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        templates = {}   # row shape -> _template
-        for row in rows:
-            shape = tuple(row)
-            try:
-                template, values = templates[shape]
-            except KeyError:
-                template, values = templates[shape] = _template(columns, shape)
-            line = template % values(row)
-            if (line and line.count(",") == len(columns) - 1 and "None" not in line
-                    and '"' not in line and "\r" not in line and "\n" not in line):
-                fh.write(line + "\r\n")
-            else:
-                writer.writerow([row.get(c, "") for c in columns])
+        as_json = cfg.format == "json"
+        if as_json:
+            head = json.dumps({"generated": _timestamp(), "meta": meta, "rows": []},
+                              indent=2, default=str)
+            fh.write(head[:-4])   # cut at the '[]' of "rows", the last key
+            encode = json.JSONEncoder(indent=2, default=str).encode
+        else:
+            fh.write(f"# generated: {_timestamp()}\n"
+                     + "".join(f"# {key}: {val}\n" for key, val in meta.items()))
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+        sep, commas, templates = "[", len(columns) - 1, {}
+        for keys, rows in blocks:
+            if as_json:   # each row after ',\n    ', the first after '[\n    '
+                fh.write(sep + encode([dict(zip(keys, row)) for row in rows])[1:-2]
+                         .replace("\n", "\n  "))
+                sep = ","
+                continue
+            if keys not in templates:   # every key is a column
+                order = [keys.index(c) for c in columns if c in keys]
+                templates[keys] = (   # itemgetter of one key gives no tuple
+                    ",".join("%s" if c in keys else "" for c in columns) + "\r\n",
+                    itemgetter(*order) if len(order) > 1 else tuple)
+            template, values = templates[keys]
+            text, n = "".join(map(template.__mod__, map(values, rows))), len(rows)
+            # csv.writer quotes a cell that holds ',', '"', '\r' or '\n', and a
+            # lone empty cell, and writes None as ''; values can only add
+            # commas, so the sum finds a value that holds one
+            if (text.count(",") == commas * n and text.count("\r") == n
+                    and text.count("\n") == n and '"' not in text and "None" not in text
+                    and not text.startswith("\r") and "\n\r" not in text):
+                fh.write(text)
+                continue
+            for cells in (dict(zip(keys, row)) for row in rows):
+                writer.writerow([cells.get(c, "") for c in columns])
+        if as_json:
+            fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
+
+
+def _emit_rows(cfg: RunConfig, meta: dict, rows: list) -> None:
+    """_emit of dict rows, each a block of its own, under their keys in the
+    order they first appear."""
+    _emit(cfg, meta, list(dict.fromkeys(c for row in rows for c in row)),
+          ((tuple(row), [tuple(row.values())]) for row in rows))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-# the keys of the three bounds records, in column order; the rows below are
-# dict displays, which build twice as fast as dict(zip(keys, values))
+# the keys of the three bounds records, in column order
 _SIGMA_KEYS = ("record", "k", "beta", "lambda_root", "sigma_hat", "mu", "s_star",
                "provenance")
 _GK_KEYS = ("record", "k", "theorem", "bound", "bound_paper", "bound_exact_delta",
@@ -285,45 +294,37 @@ _GK_KEYS = ("record", "k", "theorem", "bound", "bound_paper", "bound_exact_delta
             "ratio_to_asymptote", "small_k_caveat", "provenance")
 _EXPONENT_KEYS = ("record", "k", "s", "lambda", "delta", "theta_used",
                   "delta_closed_bound", "provenance")
+# exponent rows per block: one block of a k's 2k rows would hold them all
+# at once, which at k = 10^5 nearly triples the peak memory
+_BLOCK_ROWS = 512
 
 
 def _bounds_rows(cfg: RunConfig, a: int, b: int):
-    """The rows of each k in a..b, from one KBounds per k; a k's Delta list
-    is dropped when the next k's KBounds replaces it."""
+    """The blocks of each k in a..b, from one KBounds per k; a k's Delta
+    list is dropped when the next k's KBounds replaces it."""
     theorems = ["T" + cfg.theorem] if cfg.theorem else ["T1", "T2"]
     for k in range(a, b + 1):
         run = bound_engine.KBounds(k)
         sig = run.sig
-        yield {
-            "record": "sigma", "k": k, "beta": sig.beta,
-            "lambda_root": sig.lambda_root, "sigma_hat": sig.sigma_hat,
-            "mu": sig.mu, "s_star": sig.s_star,
-            "provenance": "bound_engine.solve_sigma",
-        }
+        yield _SIGMA_KEYS, [("sigma", k, sig.beta, sig.lambda_root, sig.sigma_hat,
+                             sig.mu, sig.s_star, "bound_engine.solve_sigma")]
+        gk = []
         for thm in theorems:
             r = run.gk(thm)
-            feat = r.bound
-            if r.theorem == "T2" and not cfg.paper_faithful:
-                feat = r.choice["bound_exact_delta"]
-            yield {
-                "record": "gk", "k": k, "theorem": r.theorem, "bound": feat,
-                "bound_paper": r.bound,
-                "bound_exact_delta": r.choice.get("bound_exact_delta", r.bound),
-                "scan_best": r.choice.get("scan_bound_best", r.bound),
-                "choice": ";".join(f"{key}={val}" for key, val in r.choice.items()
-                                   if not key.startswith("scan")),
-                "continuous_optimum": r.continuous_optimum,
-                "asymptote": r.asymptote,
-                "ratio_to_asymptote": r.bound / r.asymptote,
-                "small_k_caveat": r.small_k_caveat,
-                "provenance": "bound_engine.gk_bound",
-            }
-        for s, lam, delta, theta, closed in run.exponent_rows(cfg.s or max(20, 2 * k)):
-            yield {
-                "record": "exponent", "k": k, "s": s, "lambda": lam,
-                "delta": delta, "theta_used": theta, "delta_closed_bound": closed,
-                "provenance": "bound_engine.delta_iterate",
-            }
+            exact = r.choice.get("bound_exact_delta", r.bound)   # T2 only
+            gk.append((
+                "gk", k, r.theorem, r.bound if cfg.paper_faithful else exact,
+                r.bound, exact,
+                r.choice.get("scan_bound_best", r.bound),
+                ";".join(f"{key}={val}" for key, val in r.choice.items()
+                         if not key.startswith("scan")),
+                r.continuous_optimum, r.asymptote, r.bound / r.asymptote,
+                r.small_k_caveat, "bound_engine.gk_bound"))
+        yield _GK_KEYS, gk
+        rows = run.exponent_rows(cfg.s or max(20, 2 * k))
+        while block := [("exponent", k, *row, "bound_engine.delta_iterate")
+                        for row in islice(rows, _BLOCK_ROWS)]:
+            yield _EXPONENT_KEYS, block
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
@@ -383,7 +384,7 @@ def _cmd_count(cfg: RunConfig) -> int:
                      "S": res.S, "diag_lb": res.diagonal_lb,
                      "seconds": f"{dt:.3f}", "p": p, "q": q,
                      "provenance": "aux_count.t_pq_count"})
-    _emit(cfg, {"subcommand": "count"}, _columns(rows), rows)
+    _emit_rows(cfg, {"subcommand": "count"}, rows)
     return 0
 
 
@@ -436,7 +437,7 @@ def _cmd_smooth(cfg: RunConfig) -> int:
     note = ("base of the recursion: single mode uses the interval "
             "[1, floor(P/prod(window midpoints))], multi mode the interval "
             "[1, floor(P_k)]; sizes depend on this choice")
-    _emit(cfg, {"subcommand": "smooth", "note": note}, _columns(rows), rows)
+    _emit_rows(cfg, {"subcommand": "smooth", "note": note}, rows)
     return 0
 
 
@@ -476,8 +477,7 @@ def _cmd_arcs(cfg: RunConfig) -> int:
             row["ratio_to_P2"] = value / P**2
         rows.append({**row, "seconds": f"{time.perf_counter() - t0:.3f}",
                      "provenance": f"expsum_arcs.{via}"})
-    _emit(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, _columns(rows),
-          rows)
+    _emit_rows(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, rows)
     return 0
 
 
@@ -514,7 +514,7 @@ def _cmd_diff(cfg: RunConfig) -> int:
                          "P": P, "U": terms.U, "V": terms.V,
                          "residual": terms.residual,
                          "provenance": "differences.lemma7_terms"})
-    _emit(cfg, {"subcommand": "diff"}, _columns(rows), rows)
+    _emit_rows(cfg, {"subcommand": "diff"}, rows)
     return 0
 
 

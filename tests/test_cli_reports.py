@@ -27,6 +27,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def traced_peak(argv):
+    """The exit code of cli.main(argv) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return cli.main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def report_body(args, capsys, tmp_path):
     """The bytes of a report after its '# generated:' line."""
     out = tmp_path / "report"
@@ -177,13 +186,16 @@ class TestBounds:
     def test_exponent_rows_are_delta_iterate_bit_for_bit(self, monkeypatch, args,
                                                          s_hi):
         emitted = []
-        monkeypatch.setattr(cli, "_emit",
-                            lambda cfg, meta, columns, rows: emitted.extend(rows))
+        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, columns, blocks:
+                            emitted.extend(dict(zip(keys, row))
+                                           for keys, rows in blocks for row in rows))
         assert cli.main(["bounds"] + args) == 0
         by_k: dict = {}
         for row in emitted:
             if row["record"] == "exponent":
                 by_k.setdefault(row["k"], []).append(row)
+        ks = [int(k) for k in args[1].split(":")]   # --k k or --k-range a:b
+        assert sorted(by_k) == list(range(ks[0], ks[-1] + 1))   # rows for every k
         for k, rows in by_k.items():
             assert [row["s"] for row in rows] == list(range(2, s_hi(k) + 1)), k
             table = be.delta_iterate(k, s_hi(k))
@@ -198,32 +210,45 @@ class TestBounds:
 
     def test_columns_are_the_keys_of_the_rows(self, monkeypatch):
         # the header is the union of the record key tuples; it must be the
-        # keys of the rows in the order they first appear
+        # keys of the blocks in the order they first appear
         emitted = []
-        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, columns, rows:
-                            emitted.append((columns, list(rows))))
+        monkeypatch.setattr(cli, "_emit", lambda cfg, meta, columns, blocks:
+                            emitted.append((columns, list(blocks))))
         assert cli.main(["bounds", "--k-range", "3:6"]) == 0
-        (columns, rows), = emitted
-        assert columns == cli._columns(rows)
-        assert {tuple(row) for row in rows} == {
+        (columns, blocks), = emitted
+        assert columns == list(dict.fromkeys(c for keys, _ in blocks for c in keys))
+        assert {keys for keys, _ in blocks} == {
             cli._SIGMA_KEYS, cli._GK_KEYS, cli._EXPONENT_KEYS}
+        record = {cli._SIGMA_KEYS: "sigma", cli._GK_KEYS: "gk",
+                  cli._EXPONENT_KEYS: "exponent"}
+        assert all(rows for _, rows in blocks)
+        assert all(len(row) == len(keys) and row[0] == record[keys]
+                   for keys, rows in blocks for row in rows)
+        assert [row[1] for keys, rows in blocks for row in rows
+                if keys == cli._SIGMA_KEYS] == [3, 4, 5, 6]
 
     def test_memory_stays_flat_across_the_k_range(self, capsys, tmp_path):
         # rows are written as they are computed and each k's Delta list is
         # dropped before the next k; collecting the rows of 3:80 and writing
         # them at the end would peak near 5 MiB
         out = str(tmp_path / "b.csv")
-        tracemalloc.start()
-        try:
-            code = cli.main(["bounds", "--k-range", "3:80", "--out", out])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(["bounds", "--k-range", "3:80", "--out", out])
         assert code == 0
         assert peak < 2 * 2**20
         # four '#' lines and the header, then per k sigma, T1, T2, exponents
         assert out_lines(out) == 5 + sum(3 + max(20, 2 * k) - 1
                                          for k in range(3, 81))
+
+    @pytest.mark.parametrize("args,mib", [
+        (["--k-range", "3:80", "--format", "json"], 2),   # collected: 13.6 MiB
+        (["--k", "20000"], 8),   # one block of the 40,000 exponent rows: 26 MiB
+    ])
+    def test_peak_memory(self, tmp_path, args, mib):
+        # JSON rows are written as they are computed, as CSV rows are, and a
+        # k's exponent rows go out in blocks of _BLOCK_ROWS
+        code, peak = traced_peak(["bounds", *args, "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert peak < mib * 2**20
 
     @pytest.mark.parametrize("args,message", [
         (["--k", "2"], "k must be >= 3, got 2"),
@@ -242,6 +267,7 @@ class TestBounds:
 
     def test_failure_mid_report_keeps_the_old_file(self, capsys, tmp_path,
                                                    monkeypatch):
+        # a JSON report, too, fails after its first rows are written
         real = be.KBounds
 
         def failing(k):
@@ -251,13 +277,14 @@ class TestBounds:
         monkeypatch.setattr(cli.bound_engine, "KBounds", failing)
         out = tmp_path / "f"
         out.write_bytes(b"# an older report\r\n")
-        code, stdout, err = run_cli(["bounds", "--k-range", "5:9", "--out", str(out)],
-                                    capsys)
-        assert code == 1
-        assert json.loads(err)["error"] == "DomainError"
-        assert stdout == ""
-        assert out.read_bytes() == b"# an older report\r\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["f"]   # no temporary file
+        for fmt in ("csv", "json"):
+            code, stdout, err = run_cli(["bounds", "--k-range", "5:9", "--format", fmt,
+                                         "--out", str(out)], capsys)
+            assert code == 1
+            assert json.loads(err)["error"] == "DomainError"
+            assert stdout == ""
+            assert out.read_bytes() == b"# an older report\r\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["f"]   # no temporary file
 
 
 _CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}%0 aNone\x00\u00e9')),
@@ -273,6 +300,31 @@ _ROWS = st.lists(st.dictionaries(st.sampled_from(["k", "s", "P", "{}", "a,b"]),
                                  _CELLS, max_size=5), max_size=8)
 
 
+_JSON_CELLS = st.recursive(
+    _CELLS | st.text(max_size=4),   # any text: non-ASCII, quotes, newlines
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_JSON_ROWS = st.lists(st.dictionaries(st.text(max_size=3), _JSON_CELLS,
+                                      max_size=4), max_size=6)
+
+
+def emitted(rows, grouped, fmt="csv"):
+    """The report _emit writes for dict rows, and the rows in the order it
+    writes them.  Ungrouped, each row is a block of its own, as _emit_rows
+    passes it; grouped, the rows of each key tuple make one block, in the
+    order the key tuples first appear."""
+    blocks: dict = {}
+    for i, row in enumerate(rows):
+        blocks.setdefault(tuple(row) if grouped else i, []).append(row)
+    blocks = [(tuple(block[0]), [tuple(row.values()) for row in block])
+              for block in blocks.values()]
+    with redirect_stdout(io.StringIO()) as out:
+        cli._emit(cli.RunConfig(command="bounds", format=fmt), {"note": "\u00e9"},
+                  list(dict.fromkeys(c for row in rows for c in row)), blocks)
+    return out.getvalue(), [dict(zip(keys, row)) for keys, block in blocks
+                            for row in block]
+
+
 class TestCsvWriter:
     @settings(max_examples=200, deadline=None)
     @given(_ROWS)
@@ -285,19 +337,26 @@ class TestCsvWriter:
     @example([{"k": 1, "s": 2}, {}])
     @example([{"P": (1, 2)}, {"k": 1, "P": (3,)}])       # tuple values
     @example([{"k": "5%", "s": "%s"}, {"s": "%(k)s %%"}])
+    # one line inside a block that csv.writer writes otherwise
+    @example([{"k": 1, "s": 2}, {"k": '"', "s": 3}, {"k": 4, "s": 5}])
+    @example([{"k": 1}, {"k": ""}, {"k": 2}])            # an empty line
+    @example([{"k": "a,b", "s": 1}, {"k": 2, "s": 3}])   # a comma
+    @example([{"k": "\n", "s": 1}, {"k": 2, "s": 3}])    # a line break
+    @example([{"k": 1, "s": 2}, {"k": "a\rb", "s": 3}])
     def test_body_is_what_csv_writer_writes(self, rows):
         # whatever the template route takes, the bytes are csv.writer's
-        with redirect_stdout(io.StringIO()) as out:
-            cli._emit(cli.RunConfig(command="bounds"), {}, cli._columns(rows), rows)
-        generated, flags, body = out.getvalue().split("\n", 2)
-        assert generated.startswith("# generated: ")
-        assert flags.startswith("# flags: ")
-        cols = list(dict.fromkeys(c for row in rows for c in row))
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(cols)
-        writer.writerows([row.get(c, "") for c in cols] for row in rows)
-        assert body == want.getvalue()
+        for grouped in (False, True):
+            got, ordered = emitted(rows, grouped)
+            generated, flags, note, body = got.split("\n", 3)
+            assert generated.startswith("# generated: ")
+            assert flags.startswith("# flags: ")
+            assert note == "# note: \u00e9"
+            cols = list(dict.fromkeys(c for row in rows for c in row))
+            want = io.StringIO()
+            writer = csv.writer(want)
+            writer.writerow(cols)
+            writer.writerows([row.get(c, "") for c in cols] for row in ordered)
+            assert body == want.getvalue()
 
     def test_bounds_rows_take_the_template_route(self, capsys, tmp_path,
                                                  monkeypatch):
@@ -321,6 +380,24 @@ class TestCsvWriter:
         assert {row["small_k_caveat"] for row in rows if row["record"] == "gk"} \
             == {"True", "False"}
         assert written == [list(rows[0])]
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_ROWS)
+    @example([])
+    @example([{"k": 1}])
+    @example([{}, {}])
+    @example([{"k": [1, [2, {"a": (3, "\u00e9")}]], "s": math.nan},
+              {"k": -math.inf, "\u00e9\n": 'a"\n\\', "s": {}}, {"k": math.inf}])
+    def test_stream_is_json_dumps_of_the_payload(self, rows):
+        for grouped in (False, True):
+            got, ordered = emitted(rows, grouped, "json")
+            payload = {"generated": json.loads(got)["generated"],
+                       "meta": {"flags": "paper_faithful=False seed=0",
+                                "note": "\u00e9"},
+                       "rows": ordered}
+            assert got == json.dumps(payload, indent=2, default=str) + "\n"
 
 
 class TestConfigHandling:
