@@ -143,8 +143,7 @@ def solve_sigma(k: int) -> SigmaData:
     """Bracketed bisection for the positive root of (1+x)*beta = e^x.  The
     final bracket, a sign change a few ulps wide, certifies the root; past
     k = 37,700 one ulp of x moves the residual past any 1e-9 bound."""
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    _check_ks(k, 2)
     beta = (k - 2) * (k + 1) ** 2 / k**2
     lo, hi = 0.0, 4 * math.log(k) + 10
     if _sigma_gap(lo, beta) <= 0 or _sigma_gap(hi, beta) >= 0:
@@ -181,8 +180,7 @@ def theta_schedule(k: int, delta_prev: float) -> ThetaSchedule:
 
     The last entry is pinned to exactly 1/k.
     """
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    _check_ks(k, 2)
     if not 0.0 < delta_prev < k:
         raise DomainError(
             f"delta_prev must lie in (0, k); got {delta_prev} for k={k}")

@@ -150,7 +150,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="waring", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, offered) in _HANDLERS.items():
+    for name, (_, offered, _) in _HANDLERS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         for key in offered.split():
@@ -342,8 +342,6 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 
 
 def _cmd_count(cfg: RunConfig) -> int:
-    if cfg.k is None:
-        raise ConfigError("count needs --k")
     s = cfg.s or 2
     try:
         imported = smooth_sets.read_set(cfg.set) if cfg.set else None
@@ -356,41 +354,35 @@ def _cmd_count(cfg: RunConfig) -> int:
     if not cfg.P:
         raise ConfigError("count needs --P or --set")
     rows = []
-    runs = []
-    for P in cfg.P:
-        X = (imported.elements if imported is not None
-             else range(1, math.floor(P) + 1))
+
+    def timed_row(count: str, P, X, *pq) -> None:
+        # through the module attribute, where a tracer may have wrapped it
         t0 = time.perf_counter()
-        res = aux_count.s_count(X, s, cfg.k, budget_ops=cfg.budget_ops)
-        dt = time.perf_counter() - t0
-        runs.append((P, res.S))
+        res = getattr(aux_count, count)(X, s, cfg.k, *pq,
+                                        budget_ops=cfg.budget_ops)
         rows.append({"k": cfg.k, "s": s, "P": P, "|X|": res.set_size,
                      "S": res.S, "diag_lb": res.diagonal_lb,
-                     "seconds": f"{dt:.3f}",
-                     "provenance": "aux_count.s_count"})
-    if len(runs) >= 3:
-        fit = aux_count.exponent_fit(runs)
+                     "seconds": f"{time.perf_counter() - t0:.3f}",
+                     **dict(zip("pq", pq)), "provenance": f"aux_count.{count}"})
+
+    for P in cfg.P:
+        timed_row("s_count", P, imported.elements if imported is not None
+                  else range(1, math.floor(P) + 1))
+    if len(rows) >= 3:
+        fit = aux_count.exponent_fit([(row["P"], row["S"]) for row in rows])
         rows.append({"k": cfg.k, "s": s, "P": "fit", "S": "",
                      "slope": fit.slope, "intercept": fit.intercept,
                      "provenance": "aux_count.exponent_fit"})
     if cfg.tpq:
         p, q = cfg.tpq
-        P = cfg.P[0]
-        E = [x for x in range(1, math.floor(P) + 1) if x % p != 0]
-        t0 = time.perf_counter()
-        res = aux_count.t_pq_count(E, s, cfg.k, p, q, budget_ops=cfg.budget_ops)
-        dt = time.perf_counter() - t0
-        rows.append({"k": cfg.k, "s": s, "P": P, "|X|": res.set_size,
-                     "S": res.S, "diag_lb": res.diagonal_lb,
-                     "seconds": f"{dt:.3f}", "p": p, "q": q,
-                     "provenance": "aux_count.t_pq_count"})
+        timed_row("t_pq_count", cfg.P[0],
+                  [x for x in range(1, math.floor(cfg.P[0]) + 1) if x % p != 0],
+                  p, q)
     _emit_rows(cfg, {"subcommand": "count"}, rows)
     return 0
 
 
 def _cmd_smooth(cfg: RunConfig) -> int:
-    if cfg.k is None or not cfg.P:
-        raise ConfigError("smooth needs --k and --P")
     k = cfg.k
     rows = []
     for P in cfg.P:
@@ -442,8 +434,6 @@ def _cmd_smooth(cfg: RunConfig) -> int:
 
 
 def _cmd_arcs(cfg: RunConfig) -> int:
-    if cfg.k is None or not cfg.P:
-        raise ConfigError("arcs needs --k and --P")
     k = cfg.k
     P = cfg.P[0]
     d = expsum_arcs.ArcDissection.make(P, k)
@@ -482,8 +472,6 @@ def _cmd_arcs(cfg: RunConfig) -> int:
 
 
 def _cmd_diff(cfg: RunConfig) -> int:
-    if cfg.k is None:
-        raise ConfigError("diff needs --k")
     if cfg.levels == 0:
         raise ConfigError("diff needs --levels >= 1, got 0")
     k = cfg.k
@@ -535,35 +523,31 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 4 if n_fail else 0
 
 
-# each subcommand's handler and the options it reads, which are the only
-# ones it offers
+# each subcommand's handler, the options it reads, which are the only ones
+# it offers, and the options it needs, which main refuses to run without
 _HANDLERS = {
-    "bounds": (_cmd_bounds, "k k_range theorem s paper_faithful format out"),
-    "count": (_cmd_count, "k s P budget_ops set tpq format out"),
-    "smooth": (_cmd_smooth, "k P theta levels delta q format out"),
-    "arcs": (_cmd_arcs, "k P points seed budget_grid format out"),
-    "diff": (_cmd_diff, "k P s levels delta h_max format out"),
-    "verify": (_cmd_verify, "seed quick out"),
+    "bounds": (_cmd_bounds, "k k_range theorem s paper_faithful format out", ""),
+    "count": (_cmd_count, "k s P budget_ops set tpq format out", "k"),
+    "smooth": (_cmd_smooth, "k P theta levels delta q format out", "k P"),
+    "arcs": (_cmd_arcs, "k P points seed budget_grid format out", "k P"),
+    "diff": (_cmd_diff, "k P s levels delta h_max format out", "k"),
+    "verify": (_cmd_verify, "seed quick out", ""),
 }
-
-
-def _error_record(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
 def main(argv=None) -> int:
     try:
         cfg = _merge(_build_parser().parse_args(argv))
-        return _HANDLERS[cfg.command][0](cfg)
-    except ConfigError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return 3
+        handler, _, needed = _HANDLERS[cfg.command]
+        if any(getattr(cfg, key) in (None, ()) for key in needed.split()):
+            raise ConfigError(f"{cfg.command} needs " + " and ".join(
+                "--" + key.replace("_", "-") for key in needed.split()))
+        return handler(cfg)
     except WaringError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return 1
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return (2 if isinstance(exc, ConfigError)
+                else 3 if isinstance(exc, BudgetError) else 1)
 
 
 if __name__ == "__main__":

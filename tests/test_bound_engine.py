@@ -252,6 +252,26 @@ class TestGkBound:
         assert all(a > b for a, b in zip(t2_ratios, t2_ratios[1:]))
         assert 0.9 < t2_ratios[-1] < 1.5
 
+    def test_t2_large_k_trend(self):
+        # the expansions G_T2 = k(log k + log(1+x) + 2 + log 4) + O(log k)
+        # and bound_exact_delta - G_T2 = (e-2)k + O(log k), x = lambda_root:
+        # both residuals shrink relative to k, with no constant fitted
+        cs, gaps = [], []
+        for k in (50, 100, 200, 500, 10**3, 2 * 10**3, 5 * 10**3, 10**4,
+                  2 * 10**4, 5 * 10**4, 10**5):
+            r = be.gk_bound(k, 2)
+            x = be.solve_sigma(k).lambda_root
+            assert r.choice["scan_exact_bound_best"] <= r.bound
+            assert r.choice["scan_bound_best"] <= r.bound
+            cs.append(r.bound / k - math.log(k) - math.log(math.log(k)))
+            gaps.append((
+                abs(r.bound - k * (math.log(k) + math.log(1 + x) + 2 + math.log(4))) / k,
+                abs(r.choice["bound_exact_delta"] - r.bound - (math.e - 2) * k) / k))
+        assert all(a > b for a, b in zip(cs, cs[1:]))
+        assert cs[-1] > 2 + math.log(4)
+        for residuals in zip(*gaps):
+            assert all(a > b for a, b in zip(residuals, residuals[1:]))
+
     def test_small_k_caveat(self):
         assert be.gk_bound(3, "T1").small_k_caveat
         assert not be.gk_bound(10, "T1").small_k_caveat

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import write_set
 from waring import bound_engine as be
 from waring import cli_reports as cli
-from waring.errors import DomainError
+from waring.errors import DomainError, RootBracketError
 
 
 def run_cli(args, capsys):
@@ -87,6 +87,11 @@ def test_each_subcommand_offers_exactly_its_flags():
     assert offered == {name: {"-h", "--help", "--config"} | flags
                        for name, flags in OFFERED.items()}
     assert sum(map(len, OFFERED.values())) == 41
+
+
+def test_needed_options_are_offered():
+    for name, (_, _, needed) in cli._HANDLERS.items():
+        assert {"--" + key.replace("_", "-") for key in needed.split()} <= OFFERED[name]
 
 
 class TestBounds:
@@ -286,6 +291,20 @@ class TestBounds:
             assert out.read_bytes() == b"# an older report\r\n"
             assert [p.name for p in tmp_path.iterdir()] == ["f"]   # no temporary file
 
+    def test_other_library_error_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a WaringError that is neither a ConfigError, a BudgetError nor a
+        # DomainError keeps its own class name in the record
+        def failing(k):
+            raise RootBracketError(f"injected for k={k}")
+        monkeypatch.setattr(cli.bound_engine, "KBounds", failing)
+        out = tmp_path / "f"
+        code, stdout, err = run_cli(["bounds", "--k", "5", "--out", str(out)], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "RootBracketError",
+                                   "message": "injected for k=5"}
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 _CELL_TEXT = st.text(st.sampled_from(list(',"\r\n{}%0 aNone\x00\u00e9')),
                      max_size=6)
@@ -447,6 +466,32 @@ class TestConfigHandling:
     def test_missing_k_is_config_error(self, capsys):
         code, _, err = run_cli(["bounds"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("args,message,first_call", [
+        (["count", "--P", "20"], "count needs --k", "aux_count.s_count"),
+        (["smooth", "--P", "1000"], "smooth needs --k and --P",
+         "smooth_sets.build_single_levels"),
+        (["smooth", "--k", "3"], "smooth needs --k and --P",
+         "smooth_sets.build_single_levels"),
+        (["smooth"], "smooth needs --k and --P", "smooth_sets.build_single_levels"),
+        (["arcs", "--P", "10"], "arcs needs --k and --P", "expsum_arcs.ArcDissection"),
+        (["arcs", "--k", "3"], "arcs needs --k and --P", "expsum_arcs.ArcDissection"),
+        (["arcs"], "arcs needs --k and --P", "expsum_arcs.ArcDissection"),
+        (["diff", "--P", "10"], "diff needs --k", "differences.psi"),
+        (["bounds"], "need --k or --k-range", "bound_engine._check_ks"),
+    ])
+    def test_missing_needed_option_is_refused_before_work(
+            self, capsys, tmp_path, monkeypatch, args, message, first_call):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{first_call} ran without a needed option")
+        module, attr = first_call.split(".")
+        monkeypatch.setattr(getattr(cli, module), attr, never)
+        out = tmp_path / "report"
+        code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_k_range_without_colon_is_config_error(self, capsys):
         code, _, err = run_cli(["bounds", "--k-range", "10"], capsys)
@@ -630,6 +675,32 @@ class TestConfigHandling:
         out = tmp_path / "report"
         out.write_bytes(b"old")
         os.chmod(out, 0o444)
+        code, stdout, err = run_cli(["bounds", "--k", "5", "--out", str(out)],
+                                    capsys)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot write {out}: ")
+        assert stdout == ""
+        assert out.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_write_denied_out_is_refused_and_kept(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # the refusal above, with os.access denying write, so that it runs
+        # under root too
+        def never(k):
+            raise AssertionError("bound work ran before --out was checked")
+        real_access = os.access
+
+        def access(path, mode, **kwargs):
+            if os.fspath(path) == str(out) and mode & os.W_OK:
+                return False
+            return real_access(path, mode, **kwargs)
+        monkeypatch.setattr(cli.bound_engine, "KBounds", never)
+        monkeypatch.setattr(cli.os, "access", access)
+        out = tmp_path / "report"
+        out.write_bytes(b"old")
         code, stdout, err = run_cli(["bounds", "--k", "5", "--out", str(out)],
                                     capsys)
         assert code == 2
