@@ -313,13 +313,12 @@ def _conjugate_paired(m: MomentSpec) -> bool:
 
 def _factor_product(m: MomentSpec, n: int, values) -> np.ndarray:
     """Product of m's factors at n points; values(frequencies) gives one
-    factor's n values and runs once per distinct spec."""
-    cache: dict = {}
+    factor's n values, once per distinct spec, before the product exists."""
+    cache = {spec: values(frequencies(spec))
+             for spec in dict.fromkeys(f.spec for f in m.factors)}
     prod = np.ones(n, dtype=complex)
     for f in m.factors:
-        vals = cache.get(f.spec)
-        if vals is None:
-            vals = cache[f.spec] = values(frequencies(f.spec))
+        vals = cache[f.spec]
         if f.conjugated:
             vals = np.conj(vals)
         prod *= vals**f.exponent
@@ -337,6 +336,10 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     phases.exact_sum: the exact sum of the grid values rounded once, the
     double math.fsum gives, so the result depends only on the grid length
     and the factor products, not on the order of the points.
+
+    Memory: one complex grid per distinct spec, transformed in place, plus
+    the product.  For a length with a large prime factor (2^20 + 1 = 17 *
+    61681) numpy's FFT workspace, outside these arrays, sets the peak.
     """
     if m.region != "full":
         raise DomainError("exact_moment requires region='full'")
@@ -348,8 +351,11 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         raise BudgetError(f"grid of {M} points exceeds budget {budget_grid}",
                           predicted=M, budget=budget_grid)
     def transform(freqs):
-        counts = np.bincount(np.asarray(freqs, dtype=np.int64) % M, minlength=M)
-        return np.fft.ifft(counts) * M
+        grid = np.bincount(np.asarray(freqs, dtype=np.int64) % M,
+                           minlength=M).astype(complex)
+        np.fft.ifft(grid, out=grid)
+        grid *= M
+        return grid
 
     prod = _factor_product(m, M, transform)
     if m.target is not None:

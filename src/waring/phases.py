@@ -27,14 +27,14 @@ Each row is summed to the double math.fsum returns (the exact sum, rounded
 once, half to even), by exponent buckets over a whole block when the rows
 are long enough: frexp writes each finite x as t * 2^(e - 27) with
 |t| < 2^27 and 26 fraction bits, and one bincount each sums trunc(t) and
-t - trunc(t) per (row, e), exactly for up to 2^26 terms (longer rows go in
-column chunks).  Scaled by ldexp each bucket sum stays exact, subnormals
-included (a multiple of 2^-1074 of at most 53 bits), so math.fsum of a
-row's bucket values is math.fsum of the row.  A row goes to math.fsum
-itself if it holds a nan or an inf, if its largest exponent plus the bit
-length of its length reaches 1023 (fsum may overflow on the way and raise),
-or if it sums to exactly zero (fsum picks the sign).  exact_sum is the
-one-row case.
+t - trunc(t) per (row, e), exactly, in column chunks of about _CHUNK
+elements that bound the memory however long the rows.  Scaled by ldexp
+each bucket sum stays exact, subnormals included (a multiple of 2^-1074 of
+at most 53 bits), so math.fsum of a row's bucket values is math.fsum of
+the row.  A row goes to math.fsum itself if it holds a nan or an inf, if
+its largest exponent plus the bit length of its length reaches 1023 (fsum
+may overflow on the way and raise), or if it sums to exactly zero (fsum
+picks the sign).  exact_sum is the one-row case.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ _WORD = 1 << 64
 # 38 us bucketed, 36 us by fsum; unit_sums at 512 alphas over 64 terms took
 # 4.3 ms bucketed, 4.7 ms by fsum, and over 50 terms 3.8 ms either way
 _FSUM_BELOW, _ROW_BELOW = 1024, 64
-# A chunk puts at most 2^26 parts below 2^27 in a bucket, so each bucket's
-# float64 partial sums stay below 2^53 in units of the part: exact.
-_CHUNK = 1 << 26
+# Elements per bucket pass (max(1, _CHUNK // rows) columns), to bound its
+# memory.  A bucket sums at most _CHUNK parts below 2^27, so its float64
+# partial sums stay below 2^53 units of the part, exact, for _CHUNK <= 2^26.
+_CHUNK = 1 << 16
 # Terms per unit_sums block: 2^13 ran unit_sums fastest of 2^12..2^15 at
 # P = 200 and 1000, and larger blocks raise the peak RSS
 _BLOCK = 1 << 13
@@ -71,8 +72,9 @@ def _row_sums(x: np.ndarray) -> list[float]:
         return [math.fsum(r.tolist()) for r in x]
     parts, bad = [], np.zeros(rows, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):   # rows fsum takes
-        for i in range(0, n, _CHUNK):
-            m, e = np.frexp(x[:, i:i + _CHUNK])
+        step = max(1, _CHUNK // rows)
+        for i in range(0, n, step):
+            m, e = np.frexp(x[:, i:i + step])
             top = e.max(axis=1)
             bad |= top + n.bit_length() >= 1023
             low = int(e.min())
@@ -92,8 +94,9 @@ def _row_sums(x: np.ndarray) -> list[float]:
 
 
 def exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()) for a float64 array, bit for bit."""
-    return _row_sums(np.ravel(x)[None, :])[0]
+    """math.fsum(x.tolist()) for a float64 array, bit for bit; a 1-D view,
+    strided or not, is read in place."""
+    return _row_sums(np.reshape(x, (1, -1)))[0]
 
 
 def _ratio(alpha) -> tuple[int, int]:

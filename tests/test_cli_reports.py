@@ -1030,6 +1030,23 @@ class TestVerify:
         assert "FAIL 06" in stdout
         assert "13/14 criteria passed" in stdout
 
+    # sha256 of the body after the '# generated:' line.  Criteria 2 and 12
+    # print grid moments and their gaps, so a change in how the grid is
+    # computed that moves one rounding shows here.
+    @pytest.mark.parametrize("args,digest", [
+        (["--quick", "--seed", "3"],
+         "6e62c9d398df9aab8fb34a3b1e5dfb0b3e7af3053bd475c42b4e7b5222b60be6"),
+        (["--seed", "0"],
+         "fd5264b3eee426c6b901eef9691487990fdd3b804c3c718282ab3bdb88438912"),
+    ], ids=["quick_seed3", "full_seed0"])
+    def test_report_body_bytes_pinned(self, capsys, tmp_path, args, digest):
+        out = tmp_path / "v.txt"
+        code, _, _ = run_cli(["verify", *args, "--out", str(out)], capsys)
+        assert code == 4                        # criterion 6 is red
+        generated, body = out.read_bytes().split(b"\n", 1)
+        assert generated.startswith(b"# generated: ")
+        assert hashlib.sha256(body).hexdigest() == digest
+
     def test_verify_byte_identical_reports(self, capsys, tmp_path):
         bodies = []
         for name in ("v1.txt", "v2.txt"):

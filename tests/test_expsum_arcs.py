@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -371,7 +372,8 @@ class TestExactMoment:
     def test_one_inverse_fft_per_distinct_factor(self, monkeypatch):
         calls = []
         ifft = np.fft.ifft
-        monkeypatch.setattr(np.fft, "ifft", lambda a: calls.append(1) or ifft(a))
+        monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw:
+                            calls.append(1) or ifft(a, *args, **kw))
         mom = ea.exact_moment(ea.abs_power(ea.FullInterval(P=10, k=3), 4))
         assert round(mom) == 190 and len(calls) == 1
         # |F|^2 |G|^2 counts x^2 + y^3 = u^2 + v^3 over [1, 8]^4
@@ -382,6 +384,34 @@ class TestExactMoment:
         reps = Counter(x**2 + y**3 for x in range(1, 9) for y in range(1, 9))
         assert round(ea.exact_moment(m)) == sum(r * r for r in reps.values())
         assert len(calls) == 3
+
+    def test_transform_in_place(self, monkeypatch):
+        # |f|^4 at P = 64, k = 3: one grid of 2^20 + 1 points, transformed
+        # in its own complex128 array with no grid-sized allocation
+        m = ea.abs_power(ea.FullInterval(P=64, k=3), 4)
+        M = 4 * 64**3 + 1
+        seen = []
+        ifft = np.fft.ifft
+
+        def traced(a, *args, **kw):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = ifft(a, *args, **kw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            seen.append((a, kw.get("out"), got, peak))
+            return got
+
+        monkeypatch.setattr(np.fft, "ifft", traced)
+        tracemalloc.start()
+        try:
+            mom = ea.exact_moment(m)
+        finally:
+            tracemalloc.stop()
+        (a, out, got, peak), = seen
+        assert out is a and got is a
+        assert a.dtype == np.complex128 and a.shape == (M,)
+        assert peak <= 1.1 * 16 * M
+        assert round(mom) == ac.s_count(range(1, 65), 2, 3).S
 
     # float.hex of the grid mean, taken before the grid sums moved from
     # math.fsum to phases.exact_sum; both grids are past its fsum crossover

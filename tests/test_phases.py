@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_exact_sum_fsum_route(x):
 
 
 def test_exact_sum_chunks(monkeypatch):
-    # the 2^26-term chunk limit, scaled down so the chunk loop runs here
+    # within the 2^26-term exact limit, and scaled down so the loop runs here
     assert phases._CHUNK * (1 << 27) <= 1 << 53
     monkeypatch.setattr(phases, "_CHUNK", 1000)
     for x in (WIDE, SUB, CANCEL, np.cos(np.arange(5 * N) * 0.3)):
@@ -202,6 +203,29 @@ def test_exact_sum_reads_strided_views(monkeypatch):
     assert not z.real.flags.contiguous
     assert_kernel_matches(z.real, monkeypatch)
     assert_kernel_matches(z.imag, monkeypatch)
+
+
+def test_exact_sum_chunked_strided_view(monkeypatch):
+    # longer than one chunk, of random sign from the subnormals up to 1e300
+    n = (1 << 17) + 3
+    rng = np.random.default_rng(11)
+    z = np.zeros(n, dtype=complex)
+    z.real = (rng.choice([-1.0, 1.0], n) * rng.uniform(1, 2, n)
+              * np.exp2(rng.integers(-1074, 996, n).astype(float)))
+    assert not z.real.flags.contiguous and n > phases._CHUNK
+    assert_kernel_matches(z.real, monkeypatch)
+
+
+def test_exact_sum_of_a_strided_view_stays_small():
+    z = np.exp(1j * np.arange(1 << 20) * 0.7)
+    tracemalloc.start()
+    try:
+        got = phases.exact_sum(z.real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20                      # a copy alone is 8 MiB
+    assert got.hex() == math.fsum(z.real.tolist()).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +338,8 @@ def special_rows(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
-@pytest.mark.parametrize("chunk", [phases._CHUNK, 300])
+# one chunk per block (2^26, the largest exact chunk) and many (300)
+@pytest.mark.parametrize("chunk", [1 << 26, 300])
 def test_row_sums_match_fsum_row_by_row(n, chunk, monkeypatch):
     x = special_rows(n, np.random.default_rng(n))
     want = [math.fsum(r).hex() for r in x.tolist()]
@@ -331,3 +356,15 @@ def test_row_sums_match_fsum_row_by_row(n, chunk, monkeypatch):
         rows = [tuple(map(float.hex, r)) for r in x.tolist()]
         summed = {tuple(map(float.hex, v)) for v in summed}
         assert [r for r in rows if r in summed] == rows[3:]
+
+
+def test_row_sums_past_one_chunk():
+    # rows longer than one chunk of the module's own size: the three
+    # bucket-summed rows alone, then with nan, +-inf, exact zeros and the
+    # overflow rule
+    n = (1 << 16) + 3
+    assert n > phases._CHUNK
+    x = special_rows(n, np.random.default_rng(12))
+    for block in (x[:3], x):
+        assert [s.hex() for s in phases._row_sums(block)] == \
+            [math.fsum(r).hex() for r in block.tolist()]
