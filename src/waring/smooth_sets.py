@@ -40,10 +40,13 @@ class PrimeWindow:
 
 
 def primes_in(lo: int, hi: int) -> PrimeWindow:
-    """Exact primes in [lo, hi] by a segmented sieve.
+    """Exact primes in [lo, hi] by a segmented sieve of odd numbers.
 
-    In each segment every prime up to sqrt(hi) crosses off its multiples
-    with one slice assignment.
+    A segment spans _SEGMENT integers (even) from an odd start and holds
+    only their odd numbers, seg[i] standing for start + 2i; 2 is added up
+    front.  Each odd prime up to sqrt(hi) crosses off its odd multiples
+    from max(p^2, start) on with one slice assignment, stride p in index
+    space.
     """
     if hi < lo:
         raise DomainError(f"empty range: hi={hi} < lo={lo}")
@@ -57,16 +60,20 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p::p] = False
-    small = np.flatnonzero(base).tolist()
-    out: list[int] = []
-    for start in range(lo, hi + 1, _SEGMENT):
+    small = np.flatnonzero(base)[1:].tolist()  # the odd primes
+    out: list[int] = [2] if lo <= 2 else []
+    for start in range(lo | 1, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT, hi + 1)
-        seg = np.ones(stop - start, dtype=bool)
+        seg = np.ones((stop - start + 1) // 2, dtype=bool)
         for p in small:
             if p * p >= stop:
                 break
-            seg[max(p * p, -(-start // p) * p) - start::p] = False
-        out.extend((np.flatnonzero(seg) + start).tolist())
+            m = max(p * p, -(-start // p) * p)
+            seg[(m + p * (m % 2 == 0) - start) // 2::p] = False
+        idx = np.flatnonzero(seg)
+        idx *= 2
+        idx += start
+        out.extend(idx.tolist())
     return PrimeWindow(lo=lo, hi=hi, primes=tuple(out))
 
 

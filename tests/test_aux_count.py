@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -334,7 +335,8 @@ class TestRunsOracle:
 
 class TestLeadSort:
     """_runs sorts keys of L > 1 limbs once on an int64 lead and lexsorts only
-    the groups of equal leads that hold unequal keys; one limb is unchanged."""
+    the groups of equal leads that hold unequal keys; one limb argsorts as
+    before below _PACK_FROM entries (TestPackedSort covers the rest)."""
 
     @staticmethod
     def runs(tables, L):
@@ -407,7 +409,8 @@ class TestLeadSort:
         assert got == sorted(want)
         assert counts.tolist() == [want[v] for v in got]
 
-    def sorts(self, monkeypatch):
+    @staticmethod
+    def sorts(monkeypatch):
         """Record each argsort's kind and each lexsort's length."""
         calls = []
         argsort, lexsort = np.argsort, np.lexsort
@@ -446,6 +449,80 @@ class TestLeadSort:
     def test_keys_strictly_ascend(self, X, s, k):
         values = ac.rep_function([X] * s, k).values.tolist()
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def _packed_cases(n: int) -> dict:
+    rng = random.Random(7)
+    return {
+        "narrow_span": [rng.randint(-40, 40) for _ in range(n)],
+        # span 2^64 - 1: the shift drops 14 bits and key - min wraps in int64;
+        # runs of neighbours share their dropped-bit words
+        "wide_span": [-(2**63), 2**63 - 1]
+                     + [rng.randint(-(2**63), 2**63 - 1) for _ in range(n)]
+                     + [t + j for t in (-(2**63), -5, 2**62)
+                        for j in range(0, 200, 3)] * 3,
+        "many_duplicates": [rng.choice([-(2**62), -1, 0, 3, 2**61]) for _ in range(n)],
+    }
+
+
+class TestPackedSort:
+    """One unsorted one-limb table of at least _PACK_FROM entries sorts as
+    packed words, key - min above the entry's index, which drop low key bits
+    only when the two do not fit in 63 bits.  Words that dropped bits may tie
+    on unequal keys, which _sort_ties orders."""
+
+    n = ac._PACK_FROM + 321
+    cases = _packed_cases(n)
+
+    @pytest.mark.parametrize("name", list(cases))
+    def test_against_counter(self, name):
+        values = self.cases[name]
+        assert len(values) >= ac._PACK_FROM
+        rng = random.Random(name)
+        for _ in range(2):
+            values = rng.sample(values, len(values))
+            table = (values, [rng.randint(1, 3) for _ in values])
+            assert TestLeadSort.runs([table], 1) == TestLeadSort.want([table])
+
+    def test_wide_span_shifts_and_ties(self):
+        _, tied = ac._packed_order(np.array(self.cases["wide_span"]))
+        assert tied is not None and tied.any()
+        _, tied = ac._packed_order(np.array(self.cases["narrow_span"]))
+        assert tied is None
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_two_column_counts(self, dtype):
+        vs = random.Random(2).sample(self.cases["wide_span"], self.n)
+        cs = np.arange(2 * len(vs)).reshape(-1, 2).astype(dtype)
+        keys, counts = ac._runs([(np.array([vs]), cs)])
+        want: dict = {}
+        for v, (a, b) in zip(vs, cs.tolist()):
+            left, right = want.get(v, (0, 0))
+            want[v] = [left + a, right + b]
+        assert keys[0].tolist() == sorted(want)
+        assert counts.tolist() == [want[v] for v in sorted(want)]
+        assert counts.dtype == dtype
+
+    def test_object_counts(self):
+        vs = self.cases["many_duplicates"]
+        cs = [2**70 + i for i in range(len(vs))]
+        keys, counts = ac._runs([(np.array([vs]), np.array(cs, dtype=object))])
+        assert (keys[0].tolist(), counts.tolist()) == TestLeadSort.want([(vs, cs)])
+
+    def test_one_sort_no_argsort(self, monkeypatch):
+        calls = TestLeadSort.sorts(monkeypatch)
+
+        def profile(frame, event, arg):
+            if (event == "c_call" and getattr(arg, "__name__", "") == "sort"
+                    and isinstance(getattr(arg, "__self__", None), np.ndarray)):
+                calls.append(("sort", len(arg.__self__)))
+        keys = np.array([self.cases["narrow_span"]])
+        sys.setprofile(profile)
+        try:
+            ac._runs([(keys, np.ones(self.n, dtype=np.int64))])
+        finally:
+            sys.setprofile(None)
+        assert calls == [("sort", self.n)]
 
 
 class TestSquare:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import product_levels_literal, write_set
@@ -47,21 +49,70 @@ def _plain_sieve(lo, hi):
     return tuple(n for n in range(lo, hi + 1) if flags[n])
 
 
+def _every_integer_sieve(lo, hi):
+    """primes_in with segments that hold every integer of their span."""
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p::p] = False
+    small = np.flatnonzero(base).tolist()
+    out = []
+    for start in range(lo, hi + 1, sm._SEGMENT):
+        stop = min(start + sm._SEGMENT, hi + 1)
+        seg = np.ones(stop - start, dtype=bool)
+        for p in small:
+            if p * p >= stop:
+                break
+            seg[max(p * p, -(-start // p) * p) - start::p] = False
+        out.extend((np.flatnonzero(seg) + start).tolist())
+    return sm.PrimeWindow(lo=lo, hi=hi, primes=tuple(out))
+
+
 class TestSegmentedSieve:
     @pytest.mark.parametrize("lo,hi", [
         (2, 2), (2, 3), (3, 3), (2, 4), (3, 100),
         (2, sm._SEGMENT + 1000),
         (3, 2 * sm._SEGMENT + 5),
         (5 * 10**6 - 7, 5 * 10**6 + sm._SEGMENT + 17),
+        # even lo; one-number windows, even and odd, prime and not
+        (4, 100), (10, 500), (4, 4), (10, 10), (11, 11),
+        # [p^2, p^2]: p must cross off the segment's first odd number
+        (9, 9), (49, 49), (121, 121), (169, 169),
+        # 5 * 10^6 + 1 = 3 * 1666667 starts the only segment
+        (5 * 10**6 + 1, 5 * 10**6 + 5000),
     ])
     def test_matches_plain_sieve(self, lo, hi):
         assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
 
+    # segments start on odd multiples of 3: 51 = 3 * 17 and 243 = 3^5 in
+    # (51, 400), 3 and 195 = 3 * 65 in (2, 3000)
     @pytest.mark.parametrize("lo,hi", [(2, 3000), (3, 3000), (49, 2500),
-                                       (121, 169)])
+                                       (121, 169), (4, 3000), (10, 500),
+                                       (51, 400)])
     def test_many_segments(self, monkeypatch, lo, hi):
         monkeypatch.setattr(sm, "_SEGMENT", 64)
         assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 2), (2, 3), (4, 4), (2, 500),
+                                       (4, 500), (9, 9), (51, 400)])
+    def test_one_odd_number_per_segment(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(sm, "_SEGMENT", 2)
+        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+
+    def test_peak_no_higher_than_every_integer_sieve(self):
+        # the segments hold odd numbers only, so the peak, set by the list of
+        # primes and the tuple made from it, is at most that of a sieve
+        # whose segments hold every integer of the same span
+        def peak(sieve):
+            tracemalloc.start()
+            try:
+                sieve(5 * 10**6, 10**7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(sm.primes_in) <= peak(_every_integer_sieve)
 
     def test_primes_are_python_ints(self):
         assert all(type(p) is int for p in sm.primes_in(2, 100).primes)
