@@ -93,7 +93,10 @@ class RunConfig:
     theta: float = _option(float, 0.4)
     s: int | None = _option(_positive(int))
     budget_ops: int = _option(_positive(int), aux_count.DEFAULT_BUDGET)
-    budget_grid: int = _option(_positive(int), expsum_arcs.DEFAULT_GRID_BUDGET)
+    budget_grid: int = _option(
+        _positive(int), expsum_arcs.DEFAULT_GRID_BUDGET,
+        "FFT work of the full-moment grid: its length M, or 3x the least "
+        "11-smooth length >= 2M-1 when M's largest prime factor p has p^2 > M")
     seed: int = _option(int, 0)
     format: str = _option(_one_of("csv", "json"), "csv", "csv or json")
     out: str | None = _option(_checked(

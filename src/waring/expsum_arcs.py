@@ -3,9 +3,12 @@
 Full-interval moments of products of these sums are computed on a uniform
 grid with more points than the total frequency span, where the grid mean of
 a trigonometric polynomial equals its integral exactly; counting moments
-therefore come out as integers up to rounding noise.  Arc-restricted moments
-use composite midpoint quadrature per interval with a halving-based error
-estimate, since odd absolute powers are not trigonometric polynomials.
+therefore come out as integers up to rounding noise.  The grid budget
+charges a length by its FFT cost, so a length with a large prime factor
+counts as numpy's padded Bluestein transform.  Arc-restricted moments use
+composite midpoint quadrature per interval, since odd absolute powers are
+not trigonometric polynomials; their halving-based error estimate runs its
+half-resolution pass only when it is first read.
 
 Rational classification walks the continued-fraction convergents of alpha:
 for arc radii below 1/(2q^2) every covering fraction is a convergent, so the
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple, Union
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -325,6 +328,32 @@ def _factor_product(m: MomentSpec, n: int, values) -> np.ndarray:
     return prod
 
 
+def _smooth_ceil(n: int) -> int:
+    """Least 11-smooth integer >= n, the padded length numpy's FFT picks."""
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for o in list(odd):
+            while (o := o * p) < 2 * n:
+                odd.append(o)
+    return min(o << (-(-n // o) - 1).bit_length() for o in odd)
+
+
+def grid_cost(M: int) -> int:
+    """FFT work exact_moment's budget charges for a grid of M points.
+
+    M, unless the largest prime factor p of M has p^2 > M: numpy's FFT then
+    runs a padded Bluestein transform, three transforms of the least
+    11-smooth length >= 2M - 1, and that is the charge.
+    """
+    rest, p, d = M, 1, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            rest, p = rest // d, d
+        d += 1
+    p = max(p, rest)
+    return 3 * _smooth_ceil(2 * M - 1) if p * p > M else M
+
+
 def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float:
     """Mean of the factor product over a grid finer than its frequency span.
 
@@ -337,6 +366,8 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
     double math.fsum gives, so the result depends only on the grid length
     and the factor products, not on the order of the points.
 
+    The budget bounds grid_cost(M), the FFT work of the grid length M; a
+    grid longer than the budget is refused on its length alone, charged M.
     Memory: one complex grid per distinct spec, transformed in place, plus
     the product.  For a length with a large prime factor (2^20 + 1 = 17 *
     61681) numpy's FFT workspace, outside these arrays, sets the peak.
@@ -347,9 +378,11 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         raise DomainError("absolute moments need conjugate-paired factors; "
                           "odd powers only via arc_moment")
     M = _frequency_span(m) + 1
-    if M > budget_grid:
-        raise BudgetError(f"grid of {M} points exceeds budget {budget_grid}",
-                          predicted=M, budget=budget_grid)
+    cost = M if M > budget_grid else grid_cost(M)
+    if cost > budget_grid:
+        raise BudgetError(f"grid of {M} points costs {cost} FFT points, over "
+                          f"budget {budget_grid}", predicted=cost,
+                          budget=budget_grid)
     def transform(freqs):
         grid = np.bincount(np.asarray(freqs, dtype=np.int64) % M,
                            minlength=M).astype(complex)
@@ -372,26 +405,38 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
 
 @dataclass(frozen=True)
 class ArcMomentResult:
+    """An arc moment's value, and its error estimate on demand.
+
+    err_est is |value - coarse|, the coarse pass at half resolution
+    (max(8, samples_per_arc // 2) samples per interval).  That pass runs on
+    the first read of err_est, which caches it, so a caller that reads only
+    value pays for the fine pass alone.
+    """
     value: float
-    err_est: float
     region: str
     n_intervals: int
     measure: float
     samples_per_arc: int
+    _pass_at: Callable[[int], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def err_est(self) -> float:
+        return abs(self.value - self._pass_at(max(8, self.samples_per_arc // 2)))
 
 
 def arc_moment(m: MomentSpec, d: ArcDissection,
                samples_per_arc: int = 64) -> ArcMomentResult:
     """Composite midpoint quadrature of |factor product| over an arc region.
 
-    A target phase has modulus 1, so it is not applied.  The error estimate
-    is the difference against a half-resolution pass; it is a refinement
+    A target phase has modulus 1, so it is not applied.  Only the fine pass
+    runs here.  The error estimate, the difference against a half-resolution
+    pass, is computed when err_est is first read; it is a refinement
     indicator, not a rigorous bound.
     """
     if m.region == "full":
         raise DomainError("arc_moment requires an arc region; "
                           "use exact_moment for region='full'")
-    if samples_per_arc < 16:
+    if differences._index(samples_per_arc) < 16:
         raise DomainError(f"samples_per_arc must be >= 16, got {samples_per_arc}")
     ivs = d.region_intervals(m.region)
 
@@ -405,12 +450,10 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
             acc += exact_sum(np.abs(vals)) * h
         return acc
 
-    fine = pass_at(samples_per_arc)
-    coarse = pass_at(max(8, samples_per_arc // 2))
-    return ArcMomentResult(value=fine, err_est=abs(fine - coarse),
-                           region=m.region, n_intervals=len(ivs),
+    return ArcMomentResult(value=pass_at(samples_per_arc), region=m.region,
+                           n_intervals=len(ivs),
                            measure=sum(hi - lo for lo, hi in ivs),
-                           samples_per_arc=samples_per_arc)
+                           samples_per_arc=samples_per_arc, _pass_at=pass_at)
 
 
 # ---------------------------------------------------------------------------

@@ -810,6 +810,20 @@ class TestBudgetExit:
         assert code == 3
         assert json.loads(err)["error"] == "BudgetError"
 
+    def test_bluestein_grid_refused_before_any_transform(self, capsys,
+                                                         monkeypatch):
+        # M = 4 * 200^3 + 1 = 3 * 11 * 17 * 57041 is charged as three
+        # transforms of 64,012,032 points, over the 2^26 default budget
+        def no_fft(*args, **kw):
+            raise AssertionError("transform ran")
+        monkeypatch.setattr(np.fft, "ifft", no_fft)
+        code, _, err = run_cli(["arcs", "--k", "3", "--P", "200"], capsys)
+        assert code == 3
+        record = json.loads(err)
+        assert record["error"] == "BudgetError"
+        assert "32000001 points" in record["message"]
+        assert "192036096" in record["message"]
+
 
 class TestCount:
     def test_interface_columns(self, capsys, tmp_path):

@@ -448,6 +448,57 @@ class TestExactMoment:
         with pytest.raises(BudgetError):
             ea.exact_moment(m, budget_grid=1000)
 
+    @pytest.mark.parametrize("M,cost", [
+        (1, 1), (9, 9), (49, 49), (2**20, 2**20), (4000000, 4000000),
+        (289, 289), (7 * 11 * 13, 1001),        # 17^2 = 289, 13^2 < 1001
+        (2 * 5 * 29, 3 * 588),                  # 29^2 > 290: 588 = 2^2 3 7^2
+        (540001, 3241350),                      # 7 * 11 * 7013
+        (2**20 + 1, 6298560),                   # 17 * 61681
+        (4000001, 24004512),                    # 41 * 97561, arcs at P = 100
+        (32000001, 192036096),                  # 3 * 11 * 17 * 57041, P = 200
+    ])
+    def test_grid_cost_pinned(self, M, cost):
+        assert ea.grid_cost(M) == cost
+
+    def test_smooth_ceil_matches_search(self):
+        def smooth(n):
+            for p in (2, 3, 5, 7, 11):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+        for n in range(1, 3000):
+            want = next(c for c in range(n, 2 * n + 1) if smooth(c))
+            assert ea._smooth_ceil(n) == want, n
+
+    @pytest.mark.parametrize("P,k,power,M,cost", [
+        (2, 2, 2, 9, 9),              # 3^2: p^2 = M charges M
+        (4, 2, 2, 33, 198),           # 3 * 11: padded to 3 * 66
+        (10, 3, 4, 4001, 24057),      # prime: padded to 3 * 8019
+    ])
+    def test_budget_both_sides_of_cost(self, P, k, power, M, cost):
+        m = ea.abs_power(ea.FullInterval(P=P, k=k), power)
+        assert ea._frequency_span(m) + 1 == M and ea.grid_cost(M) == cost
+        assert ea.exact_moment(m, budget_grid=cost) > 0
+        with pytest.raises(BudgetError) as err:
+            ea.exact_moment(m, budget_grid=cost - 1)
+        assert (err.value.predicted, err.value.budget) == (cost, cost - 1)
+        assert f"{M} points" in str(err.value) and str(cost) in str(err.value)
+
+    def test_budget_refuses_long_grid_without_factoring(self):
+        # a grid longer than the budget is charged its length
+        m = ea.abs_power(ea.FullInterval(P=10**6, k=10), 4)
+        with pytest.raises(BudgetError) as err:
+            ea.exact_moment(m)
+        assert err.value.predicted == 4 * 10**60 + 1
+
+    def test_default_budget_keeps_known_grids(self):
+        # arcs --k 3 --P 100, the moments benchmark, verify's criteria 2 and 12
+        grids = [4 * 100**3 + 1, 2**20 + 1, 540001, 4 * 10**3 + 1]
+        grids += [2 * s * P**k + 1 for (k, P, s) in ((2, 3, 2), (3, 6, 2),
+                                                     (3, 4, 3), (2, 8, 2))]
+        assert all(ea.grid_cost(M) <= ea.DEFAULT_GRID_BUDGET for M in grids)
+        assert ea.grid_cost(4 * 200**3 + 1) > ea.DEFAULT_GRID_BUDGET
+
     @pytest.mark.parametrize("exponent", [-1, 0, 2.5])
     def test_exponent_must_be_positive_int(self, exponent):
         spec = ea.FullInterval(P=5, k=3)
@@ -494,6 +545,66 @@ class TestArcMoment:
         with pytest.raises(DomainError):
             ea.arc_moment(ea.abs_power(self.spec, 4, "major"), self.d,
                           samples_per_arc=8)
+
+    @pytest.mark.parametrize("n", [20.5, 2.0, 64.0, "64"])
+    def test_samples_must_be_int(self, n):
+        with pytest.raises(DomainError, match="not an integer"):
+            ea.arc_moment(ea.abs_power(self.spec, 4, "major"), self.d,
+                          samples_per_arc=n)
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        product = ea._factor_product
+        monkeypatch.setattr(ea, "_factor_product", lambda m, n, values:
+                            calls.append(n) or product(m, n, values))
+        return calls
+
+    def test_value_runs_the_fine_pass_only(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        res = ea.arc_moment(ea.abs_power(self.spec, 4, "minor"), self.d,
+                            samples_per_arc=64)
+        assert res.value > 0 and res.n_intervals == 32
+        assert calls == [64] * 32
+
+    def test_err_est_runs_the_coarse_pass_once(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        res = ea.arc_moment(ea.abs_power(self.spec, 5, "major"), self.d,
+                            samples_per_arc=17)
+        first = res.err_est
+        assert res.err_est == first and calls == [17] * 32 + [8] * 32
+        assert "err_est" not in repr(res) and "_pass_at" not in repr(res)
+
+    # float.hex of value and err_est, taken when both passes ran in
+    # arc_moment; n = 16 and 17 both have an 8-sample coarse pass
+    @pytest.mark.parametrize("P,region,power,n,value,err_est", [
+        (10, "major", 4, 16, "0x1.fce9eaaddd790p+3", "0x1.b7cb975293800p-7"),
+        (10, "major", 4, 17, "0x1.fce6e2e6f6c8cp+3", "0x1.c3eab2ed54800p-7"),
+        (10, "major", 4, 64, "0x1.fcd10b9a2e24cp+3", "0x1.3f30d9ee70000p-11"),
+        (10, "major", 4, 1024, "0x1.fccf62ce20053p+3", "0x1.4006927400000p-19"),
+        (10, "major", 5, 16, "0x1.df57e8ff02348p+6", "0x1.05d1eea95f600p-2"),
+        (10, "major", 5, 1024, "0x1.df3cf401edd98p+6", "0x1.43828cd400000p-16"),
+        (10, "minor", 4, 16, "0x1.948b72ca45babp+7", "0x1.369bf7430347cp+5"),
+        (10, "minor", 4, 1024, "0x1.5c322e4d37a9ep+7", "0x1.4a3dbe3738000p-8"),
+        (10, "minor", 5, 17, "0x1.66e9f5cce1227p+9", "0x1.b06ea16f60048p+6"),
+        (10, "minor", 5, 64, "0x1.b908ce6075f7dp+9", "0x1.9bb8fae3df438p+7"),
+        (12, "major", 4, 17, "0x1.570b59e1bd778p+4", "0x1.5265cc3738200p-4"),
+        (12, "major", 5, 64, "0x1.80c5b6635a398p+7", "0x1.35869f1ae8000p-7"),
+        (12, "major", 5, 1024, "0x1.80c4184904bbcp+7", "0x1.3851eb1800000p-15"),
+        (12, "minor", 4, 64, "0x1.e85388e3353cdp+7", "0x1.6af88d8b8c538p+4"),
+        (12, "minor", 4, 1024, "0x1.068f744372a20p+8", "0x1.68a6dba3d0000p-7"),
+        (12, "minor", 5, 16, "0x1.95d28c5bbda9ep+10", "0x1.c33a275515e90p+8"),
+        (12, "minor", 5, 1024, "0x1.682acd0fc575dp+10", "0x1.c75cd73ad0000p-4"),
+        (40, "major", 4, 16, "0x1.ee851350ffbb6p+6", "0x1.2ad9c52bca24cp+4"),
+        (40, "major", 5, 64, "0x1.8c3dde40adac6p+11", "0x1.d8f81fd641000p+0"),
+        (40, "minor", 4, 64, "0x1.88294f9a1a67ep+11", "0x1.00eda05778000p-4"),
+        (40, "minor", 5, 17, "0x1.17e11730c8962p+15", "0x1.177db36e8f020p+12"),
+    ])
+    def test_bytes_pinned(self, P, region, power, n, value, err_est):
+        d = ea.ArcDissection.make(P, 3)
+        res = ea.arc_moment(ea.abs_power(ea.FullInterval(P=P, k=3), power,
+                                         region), d, samples_per_arc=n)
+        assert (res.value.hex(), res.err_est.hex()) == (value, err_est)
 
 
 class TestWeylRatio:
