@@ -16,6 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import aux_count, bound_engine, differences, expsum_arcs, smooth_sets
 
@@ -221,17 +222,19 @@ def criterion_10(seed: int = 0, quick: bool = False) -> CriterionResult:
     ok = pin.coeffs == (64, 24, 3)
     checked = 0
     for k in range(1, 9):
+        chains = []
         for i in range(1, k + 1):
             if 9**i <= 800:
-                chains = differences.psi_chains(k, [[1, 2, 3]] * i, [[2, 3, 5]] * i)
+                chains += product(product([1, 2, 3], repeat=i),
+                                  product([2, 3, 5], repeat=i))
             else:   # 40 random chains, each drawing its h and then its p
-                chains = [c for _ in range(40) for c in differences.psi_chains(
-                    k, [[rng.randint(1, 3)] for _ in range(i)],
-                    [[rng.choice([2, 3, 5])] for _ in range(i)])]
-            falling = math.prod(range(k - i + 1, k + 1))
-            ok = ok and all(len(cs) - 1 == k - i and cs[-1] == falling * math.prod(h)
-                            for h, _, cs in chains)
-            checked += len(chains)
+                chains += [(tuple(rng.randint(1, 3) for _ in range(i)),
+                            tuple(rng.choice([2, 3, 5]) for _ in range(i)))
+                           for _ in range(40)]
+        coeffs = differences.psi_chains(k, chains)
+        ok = ok and all(len(cs) + len(h) == k + 1 and cs[-1] == math.perm(k, len(h))
+                        * math.prod(h) for (h, _), cs in zip(chains, coeffs))
+        checked += len(chains)
     return _result(10, "difference-laws", ok,
                    f"psi1={pin.serialize()!r} cases={checked}", t0)
 

@@ -8,9 +8,9 @@ That is exact, and m = 1 is the forward difference.  The inner sum is
 evaluated in Horner form in t, reading the binomials from a cached table of
 Pascal columns per degree.  Chaining modified differences with moduli p_j^k
 against x^k yields the polynomials psi_i of degree k - i with leading
-coefficient k(k-1)...(k-i+1) * h_1...h_i.  psi_chains checks its ranges
-once and, per h, builds each level from the last on plain lists, so a shared
-prefix (h_1..h_j, p_1..p_j) is differenced once; psi is its one-chain case.
+coefficient k(k-1)...(k-i+1) * h_1...h_i.  Differences commute, so
+psi_chains walks its chains' sorted step multisets as a trie and differences
+each distinct prefix once; psi is its one-chain call.
 
 lemma7_terms evaluates the two competing terms U_i, V_i of the nested-sum
 estimate in log space; with power-law model counts and a balanced
@@ -99,57 +99,53 @@ class DiffChain:
     result: IntPolynomial
 
 
-def _levels(k, hs, windows) -> tuple:
-    """(k, hs, windows) as ints, checked once for a chain of len(hs) levels:
-    equal lengths, at most k levels, no empty range, every step positive and
-    every window value prime, with one is_prime per distinct value."""
-    k = _index(k)
-    hs = tuple(tuple(map(_index, r)) for r in hs)
-    wins = tuple(tuple(map(_index, w)) for w in windows)
-    if len(hs) != len(wins):
-        raise DomainError(f"|h|={len(hs)} and |p|={len(wins)} must match")
-    if k < 1 or len(hs) > k:
-        raise DomainError(f"need 0 <= i <= k, got i={len(hs)}, k={k}")
-    if not all(hs) or not all(wins):
-        raise DomainError("all ranges must be nonempty")
-    for v in chain(*hs):
-        if v < 1:
-            raise DomainError(f"step h={v} must be positive")
-    for v in dict.fromkeys(chain(*wins)):
+def _checked(k, chains) -> tuple:
+    """(k, hs, ps): k and each chain's steps h and primes p as exact ints
+    (sequences of Python ints are kept as given), checked once per call:
+    |h| = |p| <= k, each distinct step positive, each distinct p prime."""
+    k, (hs, ps) = _index(k), tuple(zip(*chains)) or ((), ())
+    if set(map(type, chain(*hs, *ps))) - {int}:
+        hs, ps = ([tuple(map(_index, v)) for v in vs] for vs in (hs, ps))
+    for i, j in dict.fromkeys(zip(map(len, hs), map(len, ps))):
+        if i != j:
+            raise DomainError(f"|h|={i} and |p|={j} must match")
+        if k < 1 or i > k:
+            raise DomainError(f"need 0 <= i <= k, got i={i}, k={k}")
+    steps = set(chain(*hs))
+    if min(steps, default=1) < 1:
+        raise DomainError(f"step h={min(steps)} must be positive")
+    for v in sorted(set(chain(*ps))):
         if not is_prime(v):
             raise DomainError(f"{v} is not prime")
-    return k, hs, wins
+    return k, hs, ps
 
 
-def psi_chains(k: int, hs, windows) -> list:
-    """(h, p, coeffs of psi_i(x; h; p^k)) for every h in product(*hs) and
-    every p in product(*windows), p innermost.  The arguments are checked
-    once; then, per h, level j's list differences each chain of level j-1's
-    list once per prime of window j.  Level 1 is in closed form: coefficient
-    j is h C(k, j) t^(k-j-1) with t = h_1 p_1^k."""
-    k, hs, wins = _levels(k, hs, windows)
-    i, binoms = len(hs), [col[0] for col in _pascal(k)]   # C(k, j), j < k
-    out = []
-    for h in product(*hs):
-        level = ([((v,), [b * h[0] * t ** (k - 1 - j)
-                          for j, b in enumerate(binoms)])
-                  for v in wins[0] for t in [h[0] * v**k]]
-                 if h else [((), IntPolynomial.x_power(k).coeffs)])
-        for hj, w in zip(h[1:], wins[1:]):
-            level = [(p + (v,), _diff(cs, hj, hj * v**k))
-                     for p, cs in level for v in w]
-        lead = math.prod(range(k - i + 1, k + 1)) * math.prod(h)
-        for p, cs in level:
-            assert len(cs) == k - i + 1 and cs[-1] == lead
-            out.append((h, p, tuple(cs)))
-    return out
+def psi_chains(k: int, chains) -> list:
+    """Coefficients of psi_i(x; h; p^k) for each (h, p) in chains, in input
+    order.  Each chain is keyed by its sorted steps (h_j, p_j); the distinct
+    keys are walked in sorted order with one list per step of the last key
+    on a stack, so a key differences only the steps past its common prefix."""
+    k, hs, ps = _checked(k, chains)
+    keys = list(map(tuple, map(sorted, map(zip, hs, ps))))
+    done, last, stack = {}, (), [IntPolynomial.x_power(k).coeffs]
+    for key in sorted(set(keys)):
+        n = next((j for j, (a, b) in enumerate(zip(key, last)) if a != b),
+                 min(len(key), len(last)))   # the common prefix
+        del stack[n + 1:]
+        for h, p in key[n:]:
+            stack.append(_diff(stack[-1], h, h * p**k))
+        i, cs, last = len(key), stack[-1], key
+        assert len(cs) == k - i + 1 and cs[-1] == (
+            math.perm(k, i) * math.prod(next(zip(*key), ())))   # h_1...h_i
+        done[key] = tuple(cs)
+    return list(map(done.__getitem__, keys))
 
 
 def psi(k: int, h, p) -> DiffChain:
     """Chain modified differences with steps h_j and moduli p_j^k over x^k:
-    psi_chains with one value per level, so the same checks and walk."""
-    (h, p, cs), = psi_chains(k, [(v,) for v in h], [(v,) for v in p])
-    k = _index(k)
+    the one-chain call of psi_chains, so the same checks and walk."""
+    k, h, p = _index(k), tuple(map(_index, h)), tuple(map(_index, p))
+    cs, = psi_chains(k, [(h, p)])
     return DiffChain(k, h, p, tuple(v**k for v in p), IntPolynomial(cs))
 
 
@@ -159,25 +155,26 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     are checked as nested_ranges checks them."""
     H, windows, _ = nested_ranges(q, k, H, windows, x_range)
     qk, xs = q**k, range(1, x_range + 1)
-    polys = [IntPolynomial(cs) for _, _, cs in
-             psi_chains(k, [range(1, b + 1) for b in H], windows)]
+    steps = product(*(range(1, b + 1) for b in H))
+    polys = map(IntPolynomial, psi_chains(k, product(steps, product(*windows))))
     return tuple(qk * poly.evaluate(x) for poly in polys for x in xs)
 
 
 def nested_ranges(q: int, k: int, H, windows, x_range: int) -> tuple:
-    """(H, windows, term count) with H and windows as int tuples, checked as
-    psi_chains checks them and also: a positive int q, at least one level
-    and a nonempty x range.  Level j's steps run 1..H_j, so its largest step
-    H_j stands for the whole range in the shared check."""
+    """(H, windows, term count) as ints, checked as psi_chains checks its
+    chains, with H_j standing for steps 1..H_j and shorter windows cycled so
+    every prime is checked, and also: a positive int q, at least one level
+    and no empty window or x range."""
     q, x_range = _index(q), _index(x_range)
     if q < 1:
         raise DomainError(f"q must be positive, got {q}")
-    _, tops, wins = _levels(k, [(b,) for b in H], windows)
-    if not tops:
-        raise DomainError("need at least one difference level")
-    if x_range < 1:
+    H, wins = tuple(map(_index, H)), tuple(tuple(map(_index, w)) for w in windows)
+    if not all(wins) or x_range < 1:
         raise DomainError("all ranges must be nonempty")
-    H = tuple(b for b, in tops)
+    _checked(k, [(H, tuple(w[j % len(w)] for w in wins))
+                 for j in range(max(map(len, wins), default=1))])
+    if not H:
+        raise DomainError("need at least one difference level")
     return H, wins, math.prod(H) * math.prod(map(len, wins)) * x_range
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -150,14 +151,15 @@ class TestModifiedDiff:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_oracle_on_criterion_10_chains(self, seed, monkeypatch):
-        # psi is the one-chain case of psi_chains, so this records the pin,
+        # psi is the one-chain call of psi_chains, so this records the pin,
         # the product cases and the random cases alike
         chains = []
         real_psi_chains = df.psi_chains
 
-        def recording_psi_chains(k, hs, windows):
-            out = real_psi_chains(k, hs, windows)
-            chains.extend((k, h, p, cs) for h, p, cs in out)
+        def recording_psi_chains(k, steps):
+            steps = list(steps)
+            out = real_psi_chains(k, steps)
+            chains.extend((k, h, p, cs) for (h, p), cs in zip(steps, out))
             return out
 
         monkeypatch.setattr(df, "psi_chains", recording_psi_chains)
@@ -248,11 +250,26 @@ class TestPsiChains:
         wins = data.draw(st.lists(
             st.lists(st.sampled_from(PRIMES_TO_101), min_size=1, max_size=3,
                      unique=True), min_size=i, max_size=i))
-        got = df.psi_chains(k, hs, wins)
+        got = df.psi_chains(k, product(product(*hs), product(*wins)))
         want = [df.psi(k, h, p) for h in product(*hs) for p in product(*wins)]
-        assert len(got) == len(want)
-        for (h, p, cs), chain in zip(got, want):
-            assert (h, p, cs) == (chain.h, chain.p, chain.result.coeffs)
+        assert got == [chain.result.coeffs for chain in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_explicit_chains_match_one_chain_psi(self, data):
+        # shuffled, repeated and of mixed lengths 0..k: the walk sorts its
+        # keys, so input order, duplicates and shared prefixes all matter
+        k = data.draw(st.integers(1, 9))
+        step = st.tuples(st.integers(1, 4), st.sampled_from([2, 3, 5, 7]))
+        chains = data.draw(st.lists(
+            st.lists(step, max_size=k).map(lambda c: (tuple(h for h, _ in c),
+                                                      tuple(p for _, p in c))),
+            max_size=20))
+        chains += data.draw(st.lists(st.sampled_from(chains), max_size=10)
+                            if chains else st.just([]))
+        chains = data.draw(st.permutations(chains))
+        got = df.psi_chains(k, chains)
+        assert got == [df.psi(k, h, p).result.coeffs for h, p in chains]
 
     @pytest.mark.parametrize("q,k,H,wins,xr", [
         (1, 1, [1], [(2,)], 1),
@@ -274,8 +291,7 @@ class TestPsiChains:
         with pytest.raises(DomainError, match=text):
             df.nested_frequencies(q, 3, H, [(2,)], x_range)
 
-    def test_criterion_10_diff_calls(self, monkeypatch):
-        # 11,915 with one psi call per chain; shared prefixes leave 8,999
+    def _count_diffs(self, monkeypatch):
         calls = []
         real_diff = df._diff
 
@@ -284,8 +300,45 @@ class TestPsiChains:
             return real_diff(cs, h, t)
 
         monkeypatch.setattr(df, "_diff", counting_diff)
+        return calls
+
+    def test_criterion_10_diff_calls(self, monkeypatch):
+        # 11,915 with one psi call per chain and 8,999 when each (k, i)
+        # shared its ordered prefixes; one sorted walk per k differences
+        # each distinct multiset prefix once
+        calls = self._count_diffs(monkeypatch)
         assert acceptance.criterion_10(seed=0).passed
-        assert len(calls) <= 9000
+        assert len(calls) == 2602
+
+    def test_equal_calls_make_equal_diffs(self, monkeypatch):
+        # nothing is cached across calls, so criterion 14's rerun is fresh
+        calls = self._count_diffs(monkeypatch)
+        chains = list(product(product([1, 2], repeat=3), product([2, 3], repeat=3)))
+        counts = []
+        for _ in range(2):
+            first = len(calls)
+            df.psi_chains(5, chains)
+            counts.append(len(calls) - first)
+        assert counts[0] == counts[1] == 4 + 10 + 20
+
+    def test_numpy_ints_are_taken_exactly(self):
+        # 101**12 passes 2**63: numpy scalars must become Python ints first
+        chains = [((np.int64(2), 1), (np.int64(101), 5)), ((1,), (2,))]
+        assert df.psi_chains(12, chains) == df.psi_chains(12, [((2, 1), (101, 5)),
+                                                               ((1,), (2,))])
+
+    def test_criterion_10_peak_memory(self):
+        # one sorted walk per k holds only that k's chains, keys and
+        # distinct results; a dict kept for every trie node peaks near
+        # 0.83 MiB
+        acceptance.criterion_10(seed=0)   # fill the binomial cache first
+        tracemalloc.start()
+        try:
+            assert acceptance.criterion_10(seed=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2**20
 
     @pytest.mark.parametrize("k,h,p,text", [
         (3.0, [1], [2], "3.0 is not an integer"),
@@ -300,17 +353,18 @@ class TestPsiChains:
     def test_refuses_what_psi_refuses(self, k, h, p, text):
         # the messages psi gave when it checked each chain itself
         for call in (lambda: df.psi(k, h, p),
-                     lambda: df.psi_chains(k, [[v] for v in h],
-                                           [[v] for v in p])):
+                     lambda: df.psi_chains(k, [(h, p)])):
             with pytest.raises(DomainError) as exc:
                 call()
             assert str(exc.value) == text
 
-    @pytest.mark.parametrize("hs,wins", [([[]], [[2]]), ([[1]], [[]]),
-                                         ([[1], []], [[2], [3]])])
+    @pytest.mark.parametrize("hs,wins", [([1], [()]), ([1, 1], [(2,), ()]),
+                                         ([2, 3], [(), (5,)])])
     def test_empty_range_refused(self, hs, wins):
-        with pytest.raises(DomainError, match="all ranges must be nonempty"):
-            df.psi_chains(3, hs, wins)
+        # explicit chains have no ranges; the prime windows still do
+        for call in (df.nested_frequencies, df.nested_ranges):
+            with pytest.raises(DomainError, match="all ranges must be nonempty"):
+                call(2, 3, hs, wins, 2)
 
     def test_one_is_prime_per_distinct_prime(self, monkeypatch):
         seen = []
@@ -321,8 +375,8 @@ class TestPsiChains:
             return real_is_prime(n)
 
         monkeypatch.setattr(df, "is_prime", counting_is_prime)
-        chains = df.psi_chains(4, [[1, 2], [1, 3], [2]],
-                               [[2, 3], [3, 5, 2], [5, 7]])
+        chains = df.psi_chains(4, product(product([1, 2], [1, 3], [2]),
+                                          product([2, 3], [3, 5, 2], [5, 7])))
         assert len(chains) == 2 * 2 * 1 * 2 * 3 * 2
         assert sorted(seen) == [2, 3, 5, 7]
 
