@@ -347,15 +347,58 @@ class TestPsiChains:
         (3, [0], [2], "step h=0 must be positive"),
         (3, [1], [4], "4 is not prime"),
         (3, [1, 1], [2], "|h|=2 and |p|=1 must match"),
-        (2, [1, 1, 1], [2, 2, 2], "need 0 <= i <= k, got i=3, k=2")],
+        (2, [1, 1, 1], [2, 2, 2], "need 0 <= i <= k, got i=3, k=2"),
+        (0, [], [], "need 0 <= i <= k, got i=0, k=0"),
+        (0, [1, 1], [2], "|h|=2 and |p|=1 must match"),
+        (3, [1], [4.0], "4.0 is not an integer"),
+        (3, [0, -1], [2, 2], "step h=0 must be positive"),
+        (3, [0], [4], "step h=0 must be positive"),
+        (3, [1, 2], [9, 4], "9 is not prime")],
         ids=["float_k", "float_h", "float_p", "h_zero", "non_prime",
-             "lengths", "depth"])
+             "lengths", "depth", "k_zero", "lengths_before_depth",
+             "ints_before_primes", "first_step", "steps_before_primes",
+             "first_prime"])
     def test_refuses_what_psi_refuses(self, k, h, p, text):
-        # the messages psi gave when it checked each chain itself
+        # the messages psi gave when it checked each chain itself, in its
+        # order when a chain is wrong in two ways
         for call in (lambda: df.psi(k, h, p),
                      lambda: df.psi_chains(k, [(h, p)])):
             with pytest.raises(DomainError) as exc:
                 call()
+            assert str(exc.value) == text
+
+    @pytest.mark.parametrize("k,chains,text", [
+        (0, [], "need 0 <= i <= k, got i=0, k=0"),
+        (3, [((1,), (2,)), ((1, 1), (2, 3), (5,))],
+         "a chain is a pair (h, p), got ((1, 1), (2, 3), (5,))"),
+        (3, [((1,),)], "a chain is a pair (h, p), got ((1,),)"),
+        (3, [5], "a chain is a pair (h, p), got 5"),
+        (3, [((1,), (2,)), ((1,), (4,)), ((0,), (2,))],
+         "step h=0 must be positive"),
+        (3, [((1,), (6,)), ((1, 2), (4,))], "|h|=2 and |p|=1 must match")],
+        ids=["no_chains", "three_items", "one_item", "not_a_pair",
+             "steps_before_primes", "lengths_before_primes"])
+    def test_refuses_malformed_chains(self, k, chains, text):
+        # every chain is checked as psi checks it; primes come last, once
+        with pytest.raises(DomainError) as exc:
+            df.psi_chains(k, chains)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("k,H,wins,x_range,text", [
+        (3, [1], [(2,), ()], 2, "|h|=1 and |p|=2 must match"),
+        (1, [1, 1], [(2,), ()], 2, "need 0 <= i <= k, got i=2, k=1"),
+        (0, [], [], 2, "need 0 <= i <= k, got i=0, k=0"),
+        (3, [0], [()], 2, "all ranges must be nonempty"),
+        (3, [2, 0], [(9,), (4,)], 1, "step h=0 must be positive"),
+        (3, [1], [(4, 6)], 0, "4 is not prime"),
+        (3, [], [], 0, "need at least one difference level")],
+        ids=["lengths", "depth", "k_zero", "empty_window", "step", "prime",
+             "levels"])
+    def test_ranges_refused_in_psi_order(self, k, H, wins, x_range, text):
+        # each input is wrong in two ways; the first check psi makes names it
+        for call in (df.nested_frequencies, df.nested_ranges):
+            with pytest.raises(DomainError) as exc:
+                call(2, k, H, wins, x_range)
             assert str(exc.value) == text
 
     @pytest.mark.parametrize("hs,wins", [([1], [()]), ([1, 1], [(2,), ()]),
@@ -378,6 +421,10 @@ class TestPsiChains:
         chains = df.psi_chains(4, product(product([1, 2], [1, 3], [2]),
                                           product([2, 3], [3, 5, 2], [5, 7])))
         assert len(chains) == 2 * 2 * 1 * 2 * 3 * 2
+        assert sorted(seen) == [2, 3, 5, 7]
+        # nested_ranges checks the windows, and its chains are not checked again
+        seen.clear()
+        df.nested_frequencies(2, 4, [2, 3, 1], [(2, 3), (3, 5, 2), (5, 7)], 2)
         assert sorted(seen) == [2, 3, 5, 7]
 
 
