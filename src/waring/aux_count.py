@@ -34,7 +34,6 @@ route and shares no code with the fast path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
@@ -42,7 +41,7 @@ from itertools import groupby, product
 import numpy as np
 
 from . import smooth_sets
-from .errors import BudgetError, CoprimalityError, DomainError
+from .errors import BudgetError, CoprimalityError, DomainError, as_int
 
 DEFAULT_BUDGET = 10**9
 _INT64 = 2**63             # every int64 count the kernel forms lies below this
@@ -121,13 +120,10 @@ class Lemma1Report:
 
 
 def _normalize_domains(domains) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for X in domains:
-        xs = tuple(sorted(set(int(x) for x in X)))
-        if not xs:
-            raise DomainError("every domain must be nonempty")
-        out.append(xs)
-    return tuple(out)
+    out = tuple(tuple(sorted(set(map(as_int, X)))) for X in domains)
+    if not all(out):
+        raise DomainError("every domain must be nonempty")
+    return out
 
 
 def _check_budget(cost: int, budget: int, what: str) -> None:
@@ -328,7 +324,7 @@ def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFuncti
     fits); m equal domains in a row sum each multiset of m elements once.
     Memory is O(L * distinct sums + _BLOCK_PAIRS), plus the (m-1)-multisets
     when m > 2."""
-    if k < 1:
+    if (k := as_int(k)) < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     doms = _normalize_domains(domains)
     total = math.prod(len(X) for X in doms)
@@ -353,11 +349,11 @@ def _sum_of_squares(rep: RepFunction) -> int:
 
 def s_count(X, s: int, k: int, budget_ops: int = DEFAULT_BUDGET) -> CountResult:
     """Number of solutions of x_1^k+..+x_s^k = y_1^k+..+y_s^k over X^{2s}."""
-    if s < 1:
+    if (s := as_int(s)) < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     rep = rep_function([X] * s, k, budget_ops=budget_ops)
     n = len(rep.domains[0])
-    return CountResult(S=_sum_of_squares(rep), s=s, k=k, set_size=n,
+    return CountResult(S=_sum_of_squares(rep), s=s, k=rep.k, set_size=n,
                        diagonal_lb=n**s)
 
 
@@ -384,7 +380,8 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     right counts in two columns, puts each common value in one row.  Counts
     are int64 when |E|^(2s), which bounds every count product, is below 2^63.
     """
-    E = tuple(sorted(set(int(x) for x in E)))
+    E = tuple(sorted(set(map(as_int, E))))
+    s, k, p, q = map(as_int, (s, k, p, q))
     if not E:
         raise DomainError("E must be nonempty")
     if s < 2:
@@ -431,7 +428,11 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
     outer set, and reports lhs = S_s(outer) against
     rhs = Z^s S_s(inner) + Z^(2s) floor(P) S_{s-1}(inner).
     """
-    if not (isinstance(s, numbers.Integral) and s >= 2):
+    try:
+        bad = (s := as_int(s)) < 2
+    except DomainError:
+        bad = True
+    if bad:
         raise DomainError(f"s must be an integer >= 2, got {s!r}")
     inner = smooth_sets.build_single_levels(k, P, theta, base_levels).elements
     window = smooth_sets._window(P**theta, 0,
@@ -444,7 +445,7 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
            * s_count(inner, s - 1, k, budget_ops=budget_ops).S)
     return Lemma1Report(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Z=Z,
                         inner_size=len(inner), outer_size=len(outer),
-                        P=float(P), theta=theta, base_levels=base_levels)
+                        P=float(P), theta=theta, base_levels=as_int(base_levels))
 
 
 def exponent_fit(runs) -> ExponentFit:

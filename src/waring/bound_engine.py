@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import count, islice
 from operator import itemgetter
 
-from .errors import DomainError, RootBracketError
+from .errors import DomainError, RootBracketError, as_int
 
 SMALL_K_CUTOFF = 10  # results below this k are computed but flagged
 
@@ -60,7 +60,7 @@ class ExponentTable:
         return len(self.lambdas) + 1
 
     def _idx(self, s: int) -> int:
-        if not 2 <= s <= self.s_max:
+        if not 2 <= as_int(s) <= self.s_max:
             raise DomainError(f"s={s} outside table range [2, {self.s_max}]")
         return s - 2
 
@@ -104,24 +104,25 @@ class GkResult:
     small_k_caveat: bool
 
 
-def _check_ks(k: int, s: int) -> None:
-    if k < 3:
+def _check_ks(k: int, s: int) -> tuple[int, int]:
+    if (k := as_int(k)) < 3:
         raise DomainError(f"k must be >= 3, got {k}")
-    if s < 2:
+    if (s := as_int(s)) < 2:
         raise DomainError(f"s must be >= 2, got {s}")
+    return k, s
 
 
 def lambda_closed(k: int, s: int) -> float:
     """(2s - k) + (k - 2) * (k/(k+1))^(s-2): the fixed-point solution of the
     exponent recursion at theta = 1/k."""
-    _check_ks(k, s)
+    k, s = _check_ks(k, s)
     return (2 * s - k) + (k - 2) * (k / (k + 1)) ** (s - 2)
 
 
 def lambda_iterate(k: int, s_max: int, theta: float) -> ExponentTable:
     """Iterate lambda_s = (lambda_{s-1} + 1 + 2 s theta)/(1 + theta) from
     lambda_2 = 2."""
-    _check_ks(k, s_max)
+    k, s_max = _check_ks(k, s_max)
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     lambdas = [2.0]
@@ -143,7 +144,7 @@ def solve_sigma(k: int) -> SigmaData:
     """Bracketed bisection for the positive root of (1+x)*beta = e^x.  The
     final bracket, a sign change a few ulps wide, certifies the root; past
     k = 37,700 one ulp of x moves the residual past any 1e-9 bound."""
-    _check_ks(k, 2)
+    k, _ = _check_ks(k, 2)
     beta = (k - 2) * (k + 1) ** 2 / k**2
     lo, hi = 0.0, 4 * math.log(k) + 10
     if _sigma_gap(lo, beta) <= 0 or _sigma_gap(hi, beta) >= 0:
@@ -180,7 +181,7 @@ def theta_schedule(k: int, delta_prev: float) -> ThetaSchedule:
 
     The last entry is pinned to exactly 1/k.
     """
-    _check_ks(k, 2)
+    k, _ = _check_ks(k, 2)
     if not 0.0 < delta_prev < k:
         raise DomainError(
             f"delta_prev must lie in (0, k); got {delta_prev} for k={k}")
@@ -194,7 +195,7 @@ def theta_schedule(k: int, delta_prev: float) -> ThetaSchedule:
 
 def delta_bound(k: int, s: int) -> float:
     """Closed decay bound 2k * exp(-2(s-1)/(k+1)) for Delta(s)."""
-    _check_ks(k, s)
+    k, s = _check_ks(k, s)
     return 2 * k * math.exp(-2 * (s - 1) / (k + 1))
 
 
@@ -227,7 +228,7 @@ def delta_iterate(k: int, s_max: int) -> ExponentTable:
     same iteration driven by the full two-term schedule value of theta_1
     instead of the truncation.
     """
-    _check_ks(k, s_max)
+    k, s_max = _check_ks(k, s_max)
     return _delta_steps(k, s_max, full=False)
 
 
@@ -272,8 +273,8 @@ class KBounds:
     def exponent_rows(self, s_max: int):
         """(s, lambda_s, Delta(s), theta used, closed bound) for s = 2..s_max,
         each float computed as delta_iterate(k, s_max) and delta_bound do."""
-        k, theta = self.k, math.nan
-        _check_ks(k, s_max)
+        k, s_max = _check_ks(self.k, s_max)
+        theta = math.nan
         self.delta(s_max)
         for s, d in zip(range(2, s_max + 1), self.deltas):
             yield (s, d + (2 * s - k), d, theta,
@@ -347,4 +348,4 @@ def gk_bound(k: int, theorem: str | int) -> GkResult:
     thm = {"T1": "T1", "T2": "T2", 1: "T1", 2: "T2", "1": "T1", "2": "T2"}.get(theorem)
     if thm is None:
         raise DomainError(f"theorem must be 1 or 2, got {theorem!r}")
-    return KBounds(k).gk(thm)
+    return KBounds(_check_ks(k, 2)[0]).gk(thm)

@@ -20,12 +20,11 @@ construction-exponent schedule the two agree to rounding.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, as_int
 from .phases import unit_sum
 from .smooth_sets import is_prime
 
@@ -59,14 +58,6 @@ class IntPolynomial:
     def serialize(self) -> str:
         """Space-separated coefficient list 'c0 c1 ... cd'."""
         return " ".join(str(c) for c in self.coeffs)
-
-
-def _index(v) -> int:
-    """v as an exact int; a float or any other non-integer is refused."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"{v!r} is not an integer") from None
 
 
 @cache
@@ -130,7 +121,7 @@ def _key(k: int, c) -> tuple:
         raise DomainError(f"a chain is a pair (h, p), got {c!r}") from None
     # lists: freed small tuples stay on CPython's free list, and criterion
     # 10's 5,613 chains would hold about 0.15 MiB more at its peak
-    h, p = list(map(_index, h)), list(map(_index, p))
+    h, p = list(map(as_int, h)), list(map(as_int, p))
     _shape(k, len(h), len(p))
     _steps(h)
     return tuple(sorted(zip(h, p)))
@@ -140,7 +131,7 @@ def psi_chains(k: int, chains) -> list:
     """Coefficients of psi_i(x; h; p^k) for each (h, p) in chains, in input
     order.  Each chain is checked as psi checks its one chain, but each
     distinct p is tested for primality once per call, after every chain."""
-    k = _index(k)
+    k = as_int(k)
     keys = [_key(k, c) for c in chains]
     _shape(k, 0, 0)   # k >= 1 also when there are no chains
     _primes(p for key in keys for _, p in key)
@@ -170,7 +161,7 @@ def _walk(k: int, keys) -> list:
 def psi(k: int, h, p) -> DiffChain:
     """Chain modified differences with steps h_j and moduli p_j^k over x^k:
     the one-chain call of psi_chains, so the same checks and walk."""
-    k, h, p = _index(k), tuple(map(_index, h)), tuple(map(_index, p))
+    k, h, p = as_int(k), tuple(map(as_int, h)), tuple(map(as_int, p))
     cs, = psi_chains(k, [(h, p)])
     return DiffChain(k, h, p, tuple(v**k for v in p), IntPolynomial(cs))
 
@@ -179,8 +170,8 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
     """Frequencies q^k * psi_i(x; h; p^k) for h_j in [1, H_j], p in the
     product of the windows and x in [1, x_range], x innermost; nested_ranges
     checks the arguments, so the chains skip psi_chains' checks."""
-    H, windows, _ = nested_ranges(q, k, H, windows, x_range)
-    k, qk, xs = _index(k), q**k, range(1, x_range + 1)
+    q, k, H, windows, x_range, _ = nested_ranges(q, k, H, windows, x_range)
+    qk, xs = q**k, range(1, x_range + 1)
     chains = product(product(*(range(1, b + 1) for b in H)), product(*windows))
     keys = (tuple(sorted(zip(h, p))) for h, p in chains)
     polys = map(IntPolynomial, _walk(k, keys))
@@ -188,14 +179,13 @@ def nested_frequencies(q: int, k: int, H, windows, x_range: int) -> tuple:
 
 
 def nested_ranges(q: int, k: int, H, windows, x_range: int) -> tuple:
-    """(H, windows, term count) as ints, checked as psi_chains checks the
-    product's chains (H_j stands for steps 1..H_j) and also: a positive q,
+    """(q, k, H, windows, x_range, term count) as ints, checked as psi_chains
+    checks the product's chains (H_j: steps 1..H_j) and also: a positive q,
     no empty window, at least one level and a nonempty x range."""
-    q, x_range = _index(q), _index(x_range)
-    if q < 1:
+    if (q := as_int(q)) < 1:
         raise DomainError(f"q must be positive, got {q}")
-    k, H = _index(k), tuple(map(_index, H))
-    wins = tuple(tuple(map(_index, w)) for w in windows)
+    k, H, x_range = as_int(k), tuple(map(as_int, H)), as_int(x_range)
+    wins = tuple(tuple(map(as_int, w)) for w in windows)
     _shape(k, len(H), len(wins))
     if not all(wins):
         raise DomainError("all ranges must be nonempty")
@@ -205,7 +195,8 @@ def nested_ranges(q: int, k: int, H, windows, x_range: int) -> tuple:
         raise DomainError("need at least one difference level")
     if x_range < 1:
         raise DomainError("all ranges must be nonempty")
-    return H, wins, math.prod(H) * math.prod(map(len, wins)) * x_range
+    return (q, k, H, wins, x_range,
+            math.prod(H) * math.prod(map(len, wins)) * x_range)
 
 
 def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
@@ -216,7 +207,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     x ranges over [1, x_range].  Exact phase reduction keeps the result
     deterministic; the term count is checked against the budget first.
     """
-    H, wins, terms = nested_ranges(q, k, H, windows, x_range)
+    q, k, H, wins, x_range, terms = nested_ranges(q, k, H, windows, x_range)
     if terms > budget:
         raise BudgetError(f"{terms} terms exceed budget {budget}",
                           predicted=terms, budget=budget)
@@ -241,7 +232,7 @@ class BalanceGeometry:
     @staticmethod
     def from_thetas(k: int, P: float, thetas) -> "BalanceGeometry":
         thetas = tuple(float(t) for t in thetas)
-        if len(thetas) != k:
+        if len(thetas) != (k := as_int(k)):
             raise DomainError(f"need {k} construction exponents, got {len(thetas)}")
         Z = tuple(P**t for t in thetas)
         H = tuple(P / z**k for z in Z)
@@ -299,7 +290,7 @@ def lemma7_terms(i: int, counts: BalanceCounts,
     exactly when the exponent schedule solves the balance equations.
     """
     k = geometry.k
-    if not 0 <= i <= k - 1:
+    if not 0 <= (i := as_int(i)) <= k - 1:
         raise DomainError(f"need 0 <= i <= k-1, got i={i}")
     if len(counts.log_S) != k + 1:
         raise DomainError("counts must cover levels 0..k")

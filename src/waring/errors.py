@@ -1,9 +1,11 @@
-"""Exception types shared by every module.
+"""Exception types shared by every module, and as_int, its integer reader.
 
 The distinct classes matter to callers: the CLI maps BudgetError to its own
 exit code, and the construction errors carry enough context (level index,
 offending element, predicted cost) to be actionable without a traceback.
 """
+
+import operator
 
 
 class WaringError(Exception):
@@ -12,6 +14,14 @@ class WaringError(Exception):
 
 class DomainError(WaringError, ValueError):
     """An argument lies outside the operation's mathematical domain."""
+
+
+def as_int(v) -> int:
+    """v as an exact int; a float, a str or any other non-integer is refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{v!r} is not an integer") from None
 
 
 class BudgetError(WaringError):

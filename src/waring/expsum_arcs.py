@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import differences
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, as_int
 from .phases import exact_sum, unit_sum, unit_sums
 
 DEFAULT_GRID_BUDGET = 1 << 26
@@ -101,20 +101,20 @@ ExpSumSpec = Union[FullInterval, PrimeSmooth, DifferenceSum]
 
 
 def _product_form(spec) -> tuple:
-    """(multipliers, elements) of a set-backed spec, both nonempty; k must be
-    an int >= 1 and FullInterval.P an int.  Specs run this on construction,
-    as FullInterval(5, 2.0) == FullInterval(5, 2) hits frequencies' cache."""
+    """(multipliers, elements, k) of a set-backed spec, both nonempty, k an
+    int >= 1 and FullInterval.P an int.  Specs run this on construction, as
+    FullInterval(5, 2.0) == FullInterval(5, 2) would hit frequencies' cache."""
     if isinstance(spec, FullInterval):
-        ms, xs = (1,), range(1, differences._index(spec.P) + 1)
+        ms, xs = (1,), range(1, as_int(spec.P) + 1)
     elif isinstance(spec, PrimeSmooth):
         ms, xs = spec.primes, spec.elements
     else:
         raise DomainError(f"unknown spec {spec!r}")
-    if differences._index(spec.k) < 1:
+    if (k := as_int(spec.k)) < 1:
         raise DomainError(f"k must be >= 1, got {spec.k}")
     if not ms or not xs:
         raise DomainError(f"{type(spec).__name__} sum has no terms")
-    return ms, xs
+    return ms, xs, k
 
 
 @lru_cache(maxsize=64)
@@ -125,10 +125,10 @@ def frequencies(spec: ExpSumSpec) -> np.ndarray | tuple:
         freqs = differences.nested_frequencies(spec.q, spec.k, spec.H,
                                                spec.windows, spec.x_range)
     else:
-        ms, xs = _product_form(spec)
-        freqs = (np.multiply.outer(ms, xs, dtype=np.int64).ravel() ** spec.k
+        ms, xs, k = _product_form(spec)
+        freqs = (np.multiply.outer(ms, xs, dtype=np.int64).ravel() ** k
                  if max_frequency(spec) < 2**63  # so is each lower power
-                 else tuple((m * x)**spec.k for m in ms for x in xs))
+                 else tuple((m * x)**k for m in ms for x in xs))
     arr = np.asarray(freqs)
     if arr.dtype.kind != "i":   # past int64, numpy infers uint64, float or object
         return freqs
@@ -139,8 +139,8 @@ def frequencies(spec: ExpSumSpec) -> np.ndarray | tuple:
 def term_count(spec: ExpSumSpec) -> int:
     if isinstance(spec, DifferenceSum):
         return differences.nested_ranges(spec.q, spec.k, spec.H, spec.windows,
-                                         spec.x_range)[2]
-    ms, xs = _product_form(spec)
+                                         spec.x_range)[-1]
+    ms, xs, _ = _product_form(spec)
     return len(ms) * len(xs)
 
 
@@ -149,10 +149,10 @@ def max_frequency(spec: ExpSumSpec) -> int:
     if isinstance(spec, DifferenceSum):
         # psi coefficients are positive and increase in every argument
         ps = tuple(max(w) for w in spec.windows)
-        poly = differences.psi(spec.k, spec.H, ps).result
-        return spec.q**spec.k * poly.evaluate(spec.x_range)
-    ms, xs = _product_form(spec)
-    return (max(map(abs, ms)) * max(map(abs, xs)))**spec.k
+        d = differences.psi(spec.k, spec.H, ps)
+        return as_int(spec.q)**d.k * d.result.evaluate(as_int(spec.x_range))
+    ms, xs, k = _product_form(spec)
+    return (max(map(abs, ms)) * max(map(abs, xs)))**k
 
 
 def eval_at(spec: ExpSumSpec, alpha: float) -> complex:
@@ -186,8 +186,7 @@ class ArcDissection:
 
     @staticmethod
     def make(P: float, k: int) -> "ArcDissection":
-        k = differences._index(k)
-        if k < 2:
+        if (k := as_int(k)) < 2:
             raise DomainError(f"k must be >= 2, got {k}")
         if not 2 <= P < math.inf:
             raise DomainError(f"P must be finite and >= 2, got {P}")
@@ -280,7 +279,8 @@ class MomentFactor:
     conjugated: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
+        object.__setattr__(self, "exponent", as_int(self.exponent))
+        if self.exponent < 1:
             raise DomainError(f"exponent {self.exponent!r} is not a positive int")
 
 
@@ -293,7 +293,7 @@ class MomentSpec:
 
 def abs_power(spec: ExpSumSpec, power: int, region: str = "full") -> MomentSpec:
     """|F|^power as a moment spec; even powers become a conjugate pair."""
-    if power % 2 == 0:
+    if (power := as_int(power)) % 2 == 0:
         half = power // 2
         factors = (MomentFactor(spec, half, False), MomentFactor(spec, half, True))
     else:
@@ -436,7 +436,7 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
     if m.region == "full":
         raise DomainError("arc_moment requires an arc region; "
                           "use exact_moment for region='full'")
-    if differences._index(samples_per_arc) < 16:
+    if (samples_per_arc := as_int(samples_per_arc)) < 16:
         raise DomainError(f"samples_per_arc must be >= 16, got {samples_per_arc}")
     ivs = d.region_intervals(m.region)
 
@@ -467,11 +467,11 @@ class SamplingPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if differences._index(self.n_points) < 1:
+        if as_int(self.n_points) < 1:
             raise DomainError(f"n_points must be >= 1, got {self.n_points}")
 
     def candidates(self, d: ArcDissection) -> list:
-        offset = random.Random(self.seed).random()
+        offset = random.Random(as_int(self.seed)).random()
         lo = d.interval[0]
         return [lo + (offset + j * _GOLDEN) % 1.0 for j in range(self.n_points)]
 
@@ -489,7 +489,7 @@ def weyl_ratio(P: int, k: int, policy: SamplingPolicy = SamplingPolicy()) -> Wey
     """Max of |f(alpha)| / P^(1 - 1/2^(k-1)) over minor-arc sample points,
     reached first at argmax_alpha.  Every candidate is classified first, then
     all the minor ones are evaluated in one phases.unit_sums pass."""
-    d = ArcDissection.make(P, k)
+    d = ArcDissection.make(P := as_int(P), k)
     spec = FullInterval(P=P, k=k)
     scale = P ** (1 - 1 / 2 ** (k - 1))
     cands = policy.candidates(d)

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 _TWO_PI = 2.0 * math.pi
 _WORD = 1 << 64
@@ -124,11 +123,8 @@ def _word_terms(freqs, ratios: list) -> np.ndarray:
 
 def _big_terms(freqs, ratios: list) -> np.ndarray:
     """Rows of cos, then rows of sin, from Python int residues."""
-    try:
-        ints = [operator.index(f) for f in
-                (freqs.tolist() if isinstance(freqs, np.ndarray) else freqs)]
-    except TypeError:
-        raise DomainError("frequencies must be integers") from None
+    ints = list(map(as_int, freqs.tolist() if isinstance(freqs, np.ndarray)
+                    else freqs))
     phs = [[_TWO_PI * (((f * num) % den) / den) for f in ints]
            for num, den in ratios]
     return np.array([[math.cos(p) for p in row] for row in phs]

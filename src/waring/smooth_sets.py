@@ -21,7 +21,7 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import DomainError, EmptyWindowError, WidthOverflowError
+from .errors import DomainError, EmptyWindowError, WidthOverflowError, as_int
 
 SIEVE_LIMIT = 10**9
 WIDTH_LIMIT = 2**63 - 1
@@ -48,6 +48,7 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
     from max(p^2, start) on with one slice assignment, stride p in index
     space.
     """
+    lo, hi = as_int(lo), as_int(hi)
     if hi < lo:
         raise DomainError(f"empty range: hi={hi} < lo={lo}")
     if lo < 2:
@@ -174,9 +175,9 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
     is {1..base_floor} with base_floor = floor(P / prod(window midpoints)),
     clamped to at least 1.  levels=0 returns the bare interval [1..floor(P)].
     """
-    if k < 3:
+    if (k := as_int(k)) < 3:
         raise DomainError(f"k must be >= 3, got {k}")
-    if levels < 0:
+    if (levels := as_int(levels)) < 0:
         raise DomainError(f"levels must be >= 0, got {levels}")
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
@@ -202,7 +203,7 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
 def multilevel_spec(k: int, thetas) -> SmoothSpec:
     """Spec for the multi-level construction from a schedule of exponents."""
     ths = tuple(float(t) for t in getattr(thetas, "thetas", thetas))
-    if len(ths) != k:
+    if len(ths) != (k := as_int(k)):
         raise DomainError(f"need {k} exponents, got {len(ths)}")
     return SmoothSpec(k=k, mode="multi", P_top=0.0, thetas=ths)
 
@@ -235,7 +236,7 @@ class ResidueProfile:
 
 def residue_profile(elements, q: int) -> ResidueProfile:
     """Exact counts of elements per residue class coprime to q."""
-    if q < 2:
+    if (q := as_int(q)) < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     elems = getattr(elements, "elements", elements)
     coprime = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from waring import differences, expsum_arcs
 from waring.differences import IntPolynomial
-from waring.errors import DomainError
+from waring.errors import DomainError, as_int
 
 
 def brute_force_s_count(X, s: int, k: int) -> int:
@@ -123,7 +123,7 @@ def modified_diff(phi: IntPolynomial, h: int, m: int) -> IntPolynomial:
     """(phi(x + h*m) - phi(x)) / m through differences._diff, the one-pass
     kernel of psi_chains: coefficient i is sum_{j>i} c_j C(j, i) h t^(j-i-1)
     with t = h*m, exact with no division."""
-    h, m = differences._index(h), differences._index(m)
+    h, m = as_int(h), as_int(m)
     if m < 1 or h < 1:
         raise DomainError(f"need h >= 1 and m >= 1, got h={h}, m={m}")
     return make_poly(differences._diff(phi.coeffs, h, h * m))

@@ -164,7 +164,7 @@ class TestSpecs:
         ea.PrimeSmooth(k=3, P=100.0, primes=(3,), elements=(-(2**19), 3)),
     ], ids=["prime_smooth", "negatives", "int64_edge", "single_prime"])
     def test_int64_table_equals_tuple_build(self, spec):
-        ms, xs = ea._product_form(spec)
+        ms, xs, _ = ea._product_form(spec)
         want = np.array(tuple((m * x)**spec.k for m in ms for x in xs))
         got = ea.frequencies(spec)
         assert got.dtype == want.dtype == np.int64
