@@ -14,18 +14,21 @@ bounds every partial sum, so L = 1 (a plain int64 key) when the sums fit
 int64.  Outer sums add limb by limb, then carry once (digit sums stay below
 2^63).  Counts are int64 while the product of the domain sizes, which bounds
 every count and count product, is below 2^63, and Python ints above it.
-The kernel sorts the outer sums of a block of about _BLOCK_PAIRS entries,
-adds up each run of equal keys and merges the reduced blocks as it goes, so
-memory stays within twice the number of distinct sums plus one block (and,
-for s > 2 equal domains, the unreduced multisets of s - 1 entries, each level
-built from n copies of the one below).  One-limb blocks of _PACK_FROM or
-more entries sort once as packed words of key and index, smaller ones by
-argsort.  Keys of L > 1 limbs sort once on an int64 lead made from their top
-two limbs, which ascends with the key.  A group of equal words or leads is
-lexsorted only if it holds unequal keys.  At every L
-reduced tables merge by a stable sort, keys and counts move by np.take and
-np.compress (far faster than fancy indexing of the (L, n) keys), and
-distinct keys skip reduceat.
+The kernel pairs the rows of one table with a prefix of the columns of a
+key-sorted table and cuts the pairs into blocks of about _BLOCK_PAIRS by
+their sums: a block holds the pairs whose sums lie in [B_t, B_t+1), with the
+bounds B taken from a sample of pair sums, and each row's split at B is
+found exactly.  Each block is sorted and each run of equal keys added up,
+so the reduced blocks come out in ascending, disjoint key ranges and are
+never merged.  rep_function joins them; s_count and distinct_sums_bound fold
+them one at a time, so their memory is one block (plus, for s > 2 equal
+domains, the unreduced multisets of s - 1 entries, each level built from n
+copies of the one below).  One-limb blocks of _PACK_FROM or more entries
+sort once as packed words of key and index, smaller ones by argsort.  Keys
+of L > 1 limbs sort once on an int64 lead made from their top two limbs,
+which ascends with the key.  A group of equal words or leads is lexsorted
+only if it holds unequal keys.  Keys and counts move by np.take (far faster
+than fancy indexing of the (L, n) keys), and distinct keys skip reduceat.
 
 brute_force_t_pq enumerates tuples directly; it is the independent reference
 route and shares no code with the fast path.
@@ -142,45 +145,45 @@ def _split(values, L: int) -> np.ndarray:
                       for v in values] for j in range(L)], dtype=np.int64)
 
 
-def _lead(keys: np.ndarray) -> np.ndarray:
-    """The top limb shifted left b bits, then the top b bits of the next limb.
+def _width(limb: np.ndarray) -> int:
+    """Bit width of the largest |value| in one limb."""
+    return max(-int(limb.min()), int(limb.max())).bit_length()
 
-    b = 62 minus the bit width of the largest |top limb|, at least 0, so the
-    shift never overflows and the lead ascends (not strictly) with the key.
+
+def _lead(keys: np.ndarray, b: int) -> np.ndarray:
+    """floor(key / 2^(62(L-1) - b)), which ascends (not strictly) with the
+    key: the top limb shifted left b bits, then the top b bits of the next
+    limb, or for b <= 0 the top limb shifted right -b bits."""
+    if b <= 0:
+        return keys[-1] >> -b
+    return (keys[-1] << b) | (keys[-2] >> (_LIMB - b))
+
+
+def _runs(table: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys ascending, each with the sum of its counts.
+
+    Empties the input list [keys, counts] and gathers one array at a time
+    by np.take, so the peak stays near twice the input.  Equal keys (sums of
+    distinct tuples) form one run in any order, so the sort is unstable.
+    One limb and _PACK_FROM or more entries sort by _packed_order, and keys
+    of L > 1 limbs on their int64 _lead; then only groups of equal words or
+    leads holding unequal keys are lexsorted in place.  Keys that all differ
+    are returned without a reduction.
     """
-    top = keys[-1]
-    b = max(0, _LIMB - max(-int(top.min()), int(top.max())).bit_length())
-    return (top << b) | (keys[-2] >> (_LIMB - b))
-
-
-def _runs(tables: list) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys ascending, each with the sum of its counts (rows of counts).
-
-    Empties the input list of (keys, counts) tables and gathers one array at
-    a time by np.take, so the peak stays near twice the input.  Equal keys
-    (sums of distinct tuples) form one run in any order, so one table sorts
-    unstably; two or more are ascending runs, which at any L a stable sort
-    merges in linear time.  One table of one limb and _PACK_FROM or more
-    entries sorts by _packed_order, and keys of L > 1 limbs on their int64
-    _lead; then only groups of equal words or leads holding unequal keys are
-    lexsorted in place.  Keys that all differ are returned without a
-    reduction.
-    """
-    keys = np.concatenate([k for k, _ in tables], axis=1)
-    counts = np.concatenate([c for _, c in tables])
-    kind = "stable" if len(tables) > 1 else None
-    tables.clear()
-    if len(keys) == 1 and kind is None and len(counts) >= _PACK_FROM:
+    keys, counts = table
+    table.clear()
+    if len(keys) == 1 and len(counts) >= _PACK_FROM:
         order, tied = _packed_order(keys[0])
     elif len(keys) == 1:
-        order, tied = np.argsort(keys[0], kind=kind), None
+        order, tied = np.argsort(keys[0]), None
     else:
-        lead = _lead(keys)
-        order = np.argsort(lead, kind=kind)
+        # b = 62 minus the width of the top limb, at least 0: no overflow
+        lead = _lead(keys, max(0, _LIMB - _width(keys[-1])))
+        order = np.argsort(lead)
         lead = np.take(lead, order)
         tied = lead[1:] == lead[:-1]
         del lead  # before the gathers, which set the peak
-    counts = np.take(counts, order, axis=0)
+    counts = np.take(counts, order)
     keys = np.take(keys, order, axis=1)
     del order
     new = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
@@ -233,97 +236,176 @@ def _sort_ties(keys: np.ndarray, counts: np.ndarray, tied: np.ndarray,
     new[inner] = (np.take(keys, inner + 1, axis=1) != np.take(keys, inner, axis=1)).any(0)
 
 
-def _add(ak: np.ndarray, bk: np.ndarray) -> np.ndarray:
-    """Every key of ak plus every key of bk, row-major; _runs gets the only copy."""
-    sums = (ak[:, :, None] + bk[:, None, :]).reshape(len(ak), -1)
+def _carry(sums: np.ndarray) -> np.ndarray:
+    """Limb-wise sums of keys, carried in place into limbs (digit sums stay below 2^63)."""
     for j in range(len(sums) - 1):
         sums[j + 1] += sums[j] >> _LIMB
         sums[j] &= _DIGIT
     return sums
 
 
-def _blocks(rows: int, cols, block) -> tuple[np.ndarray, np.ndarray]:
-    """block(i, e), the (keys, counts) of rows i..e-1, reduced over blocks of
-    about _BLOCK_PAIRS entries and merged; no row from i on passes cols(i).
+def _below(rk: np.ndarray, ck: np.ndarray, bound: int) -> np.ndarray:
+    """For each row key, how many of the ascending keys ck it adds to a sum
+    below bound, exactly.
 
-    Reduced blocks stay on a stack whose tables at least halve in length
-    towards the top, so at most twice the distinct sums are held at once;
-    after the last block the whole stack is merged.
+    Leads floor(key / 2^S) of at most 61 bits place each row's answer among
+    the columns whose lead is lead(bound) - lead(row) - 1 or one more (a
+    floor of a sum is the sum of the floors or one more), which two
+    searchsorted find; a bisection over the rows with such columns, adding
+    and comparing limb by limb, settles the rest.  One limb of at most 61
+    bits is its own lead (S = 0), and one searchsorted is exact."""
+    L = len(ck)
+    width = max(_width(rk[-1]), _width(ck[-1]), abs(bound >> _LIMB * (L - 1)).bit_length())
+    b = 61 - width if L > 1 else min(0, 61 - width)
+    lc, lr = _lead(ck, b), _lead(rk, b)
+    lb = bound >> _LIMB * (L - 1) - b
+    if L == 1 and b == 0:  # the leads are the keys: nothing to settle
+        return np.searchsorted(lc, lb - lr, side="left")
+    lo = np.searchsorted(lc, (lb - 1) - lr, side="left")
+    hi = np.searchsorted(lc, lb - lr, side="right")
+    rows = np.flatnonzero(hi > lo)
+    if not len(rows):
+        return lo
+    limbs, rk = _split([bound], L)[:, 0], np.take(rk, rows, axis=1)
+    a, z = np.take(lo, rows), np.take(hi, rows)
+    for _ in range(int((z - a).max()).bit_length()):
+        mid = (a + z) >> 1
+        sums = _carry(rk + np.take(ck, np.minimum(mid, len(lc) - 1), axis=1))
+        less = sums[0] < limbs[0]
+        for j in range(1, L):
+            less = (sums[j] < limbs[j]) | ((sums[j] == limbs[j]) & less)
+        less &= a < z
+        a, z = np.where(less, mid + 1, a), np.where(less, z, mid)
+    lo[rows] = a
+    return lo
+
+
+def _bounds(rk: np.ndarray, ck: np.ndarray, end: np.ndarray, pairs: int) -> list:
+    """Ascending distinct sums that cut the pairs into blocks of about
+    _BLOCK_PAIRS, or of one pair per row if that is more (each bound costs a
+    split of every row): each row's sum with one column drawn at random
+    (fixed seed), weighted by the row's length, at evenly spaced weighted
+    ranks.  Any bounds give the same table; only the balance of the blocks
+    depends on them."""
+    blocks = -(-pairs // max(_BLOCK_PAIRS, len(end)))
+    if blocks == 1:
+        return []
+    sums = _carry(rk + np.take(ck, np.random.default_rng(0).integers(end), axis=1))
+    order = np.lexsort(sums)
+    ranks = np.searchsorted(np.cumsum(np.take(end, order)), np.arange(1, blocks) * pairs // blocks)
+    picks = np.take(sums, np.take(order, ranks), axis=1)
+    return sorted({sum(int(x) << _LIMB * j for j, x in enumerate(col)) for col in picks.T})
+
+
+def _block(rows: tuple, cols: tuple, lo: np.ndarray, hi: np.ndarray,
+           end: np.ndarray | None = None, last: np.ndarray | None = None) -> list:
+    """[keys, counts] of the pairs of row i with columns lo[i] .. hi[i] - 1,
+    weighted by the product of their counts, with row i's count last[i]
+    instead at column end[i] - 1 if last is given.  Columns are gathered
+    before rows, and each index array is freed once read."""
+    (rk, rc), (ck, cc) = rows, cols
+    live = np.flatnonzero(hi > lo)
+    n = np.take(hi, live) - np.take(lo, live)
+    start = np.cumsum(n) - n
+    c = np.repeat(np.take(lo, live) - start, n)
+    c += np.arange(len(c))
+    keys = np.take(ck, c, axis=1)
+    counts = np.take(cc, c)
+    del c
+    r = np.repeat(live, n)
+    for j in range(len(keys)):
+        keys[j] += np.take(rk[j], r)
+    counts *= np.take(rc, r)
+    del r
+    if last is not None:
+        at = np.flatnonzero(np.take(hi, live) == np.take(end, live))
+        counts[np.take(start + n - 1, at)] = (np.take(cc, np.take(hi, live[at]) - 1)
+                                             * np.take(last, live[at]))
+    return [_carry(keys), counts]
+
+
+def _pairs(rows: tuple, cols: tuple, end: np.ndarray, last: np.ndarray | None = None):
+    """Reduced blocks of the sums of row i's key and each of the first end[i]
+    keys of the key-sorted cols, weighted by the product of their counts
+    (row i's count last[i] instead at column end[i] - 1, if last is given).
+
+    A block holds the pairs whose sums lie in [B_t, B_t+1) for the _bounds
+    B; each row's columns below B are a prefix of its columns, which _below
+    finds exactly, so equal sums never straddle two blocks and the blocks
+    come out in ascending, disjoint key ranges.  A table of at most
+    _BLOCK_PAIRS pairs is one block, built with no search.
     """
-    stack, i = [], 0
-    while i < rows:
-        e = min(rows, i + max(1, _BLOCK_PAIRS // cols(i)))
-        stack.append(_runs([block(i, e)]))
-        i = e
-        while len(stack) > 1 and (i == rows or 2 * len(stack[-1][1]) >= len(stack[-2][1])):
-            stack.append(_runs([stack.pop(), stack.pop()]))
-    return stack[0]
+    lo = np.zeros_like(end)
+    for bound in _bounds(rows[0], cols[0], end, int(end.sum())):
+        hi = np.minimum(_below(rows[0], cols[0], bound), end)
+        if (hi > lo).any():
+            yield _runs(_block(rows, cols, lo, hi, end, last))
+        lo = hi
+    yield _runs(_block(rows, cols, lo, end, end, last))
 
 
-def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution of two (keys, counts) tables, in row blocks of a."""
-    (ak, ac), (bk, bc) = a, b
-    return _blocks(len(ac), lambda i: len(bc), lambda i, e: (
-        _add(ak[:, i:e], bk), np.multiply.outer(ac[i:e], bc).ravel()))
+def _convolve(a: tuple, b: tuple):
+    """Reduced blocks of the convolution of two (keys, counts) tables; b is key-sorted."""
+    return _pairs(a, b, np.full(len(a[1]), len(b[1])))
 
 
-def _power(t: tuple, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """s-fold _convolve(t, ..., t), each multiset of s entries formed once.
+def _power(t: tuple, s: int):
+    """Reduced blocks of _convolve(t, ..., t), s copies, each multiset of s
+    entries formed once.
 
     Level j, unreduced, holds each multiset of j entry indices as its key,
-    count product, multinomial coefficient, least index (ascending) and that
-    index's multiplicity m.  Entry a joins the multisets of level j - 1 whose
-    least index is >= a; the coefficient becomes coef j / (m + 1), with m = 0
-    unless a is that index, which is exact and at most j!.  Level s goes
-    through _blocks, and only its final multiply meets a coefficient, so no
-    product passes total.  At s = 2 row a keeps b >= a: 2 c_a c_b, or c_a^2.
+    count product, multinomial coefficient, least index and that index's
+    multiplicity m.  Each multiset of level j - 1 takes each entry a up to
+    its least index; the coefficient becomes coef j / (m + 1), with m = 0
+    unless a is that index, which is exact and at most j!.  Level s pairs
+    each multiset of level s - 1 with the entries of the key-sorted t up to
+    its least index, which gives its count times coef s below the least
+    index and coef s / (m + 1) at it.  A row's weight prod coef s is at most
+    the count of each pair below its least index, and at that index the
+    product is replaced, so no count kept passes total.  At s = 2 row b
+    takes a <= b: 2 c_a c_b, or c_b^2.
     """
     if s == 1:
-        return t
-    keys, c = t
-    n = len(c)
-    lk, prod, coef, least = keys, c, np.ones_like(c), np.arange(n)
+        yield t
+        return
+    lk, prod = t
+    coef, least = np.ones_like(prod), np.arange(len(prod))
     mult = np.ones_like(least)
     for j in range(2, s):
-        keep = (least >= np.arange(n)[:, None]).ravel()
-        rows, cols = np.divmod(np.flatnonzero(keep), len(least))
-        m = np.where(least[cols] == rows, mult[cols], 0)
-        lk = np.compress(keep, _add(keys, lk), axis=1)
-        prod, coef = c[rows] * prod[cols], coef[cols] * j // (m + 1)
-        least, mult = rows, m + 1
-    start = np.searchsorted(least, np.arange(n + 1))  # row a: start[a] onwards
-    grow, tie = coef * s, coef * s // (mult + 1)      # a below, or at, the least
-
-    def block(i, e):
-        lo, rows = start[i], np.arange(i, e)[:, None]
-        w = np.multiply.outer(c[i:e], prod[lo:])
-        np.multiply(w, grow[lo:], out=w, where=least[lo:] > rows)
-        band = np.arange(lo, start[e])                # least index in [i, e)
-        w[least[band] - i, band - lo] *= tie[band]
-        keep = (least[lo:] >= rows).ravel()
-        return (np.compress(keep, _add(keys[:, i:e], lk[:, lo:]), axis=1),
-                np.compress(keep, w))
-    return _blocks(n, lambda i: len(least) - start[i], block)
+        end = least + 1
+        i = np.repeat(np.arange(len(end)), end)                 # the old multiset
+        a = np.arange(len(i)) - np.repeat(np.cumsum(end) - end, end)  # the entry
+        lk, prod = _block((lk, prod), t, np.zeros_like(end), end)
+        m = np.where(a == least[i], mult[i], 0)
+        coef, least, mult = coef[i] * j // (m + 1), a, m + 1
+    yield from _pairs((lk, prod * (coef * s)), t, least + 1,
+                      prod * (coef * s // (mult + 1)))
 
 
-def _table(runs: list, L: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, counts) of the sums with one term from each list, in L limbs:
-    each (list, m), m equal lists in a row, is one _power, and different
-    runs combine by a balanced _convolve."""
+def _join(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """One (keys, counts) table from reduced blocks in ascending key ranges."""
+    keys, counts = zip(*blocks)
+    return np.concatenate(keys, axis=1), np.concatenate(counts)
+
+
+def _sums(runs: list, L: int, dtype):
+    """Reduced blocks, in ascending key ranges, of the sums with one term
+    from each list, in L limbs: each (list, m), m equal lists in a row, is
+    one _power, and different runs combine by a balanced _convolve."""
     if len(runs) > 1:
         mid = (len(runs) + 1) // 2  # left block takes ceil(len/2) runs
-        return _convolve(_table(runs[:mid], L, dtype), _table(runs[mid:], L, dtype))
+        return _convolve(_join(_sums(runs[:mid], L, dtype)),
+                         _join(_sums(runs[mid:], L, dtype)))
     (values, m), = runs
-    return _power(_runs([(_split(values, L), np.ones(len(values), dtype=dtype))]), m)
+    return _power(_runs([_split(values, L), np.ones(len(values), dtype=dtype)]), m)
 
 
-def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFunction:
-    """Exact gamma table for sums x_1^k + ... + x_s^k over the given domains.
+def _sum_blocks(domains, k: int, budget_ops: int):
+    """k, the normalised domains, the number of tuples and the reduced blocks,
+    in ascending key ranges, of the gamma table of sums of k-th powers.
 
     L comes from sum_i max_{x in X_i} |x|^k (plain int64 keys when every sum
-    fits); m equal domains in a row sum each multiset of m elements once.
-    Memory is O(L * distinct sums + _BLOCK_PAIRS), plus the (m-1)-multisets
-    when m > 2."""
+    fits); m equal domains in a row sum each multiset of m elements once."""
     if (k := as_int(k)) < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     doms = _normalize_domains(domains)
@@ -332,41 +414,59 @@ def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFuncti
     powers = [[x**k for x in X] for X in doms]
     # |x| and so |x^k| is largest at an end of the sorted domain
     top = sum(max(abs(ps[0]), abs(ps[-1])) for ps in powers)
-    keys, counts = _table([(p, len(list(g))) for p, g in groupby(powers)],
-                          _limbs(top), np.int64 if total < _INT64 else object)
+    return k, doms, total, _sums([(p, len(list(g))) for p, g in groupby(powers)],
+                                 _limbs(top), np.int64 if total < _INT64 else object)
+
+
+def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFunction:
+    """Exact gamma table for sums x_1^k + ... + x_s^k over the given domains.
+
+    Memory is O(L * distinct sums + _BLOCK_PAIRS), plus the (m-1)-multisets
+    when m > 2 equal domains."""
+    k, doms, total, blocks = _sum_blocks(domains, k, budget_ops)
+    keys, counts = _join(blocks)
     assert int(counts.sum()) == total
     return RepFunction(k=k, s=len(doms), domains=doms, keys=keys,
                        counts=counts, total=total)
 
 
-def _sum_of_squares(rep: RepFunction) -> int:
-    """sum gamma^2, in int64 only when total^2 (which bounds it) fits."""
-    c = rep.counts
-    if rep.total**2 >= _INT64:
-        c = c.astype(object, copy=False)
-    return int(np.dot(c, c))
+def _fold(blocks, total: int) -> tuple[int, int]:
+    """The number of distinct sums and sum gamma^2, one block at a time;
+    gamma^2 sums in int64 only when total^2 (which bounds it) fits."""
+    distinct = ssq = seen = 0
+    for keys, c in blocks:
+        seen += int(c.sum())
+        if total**2 >= _INT64:
+            c = c.astype(object, copy=False)
+        distinct += len(c)
+        ssq += int(np.dot(c, c))
+        del keys, c  # before the next block is built
+    assert seen == total
+    return distinct, ssq
 
 
 def s_count(X, s: int, k: int, budget_ops: int = DEFAULT_BUDGET) -> CountResult:
-    """Number of solutions of x_1^k+..+x_s^k = y_1^k+..+y_s^k over X^{2s}."""
+    """Number of solutions of x_1^k+..+x_s^k = y_1^k+..+y_s^k over X^{2s}.
+
+    The gamma table is never held whole: memory is one block of about
+    _BLOCK_PAIRS pairs, plus the (s-1)-multisets when s > 2."""
     if (s := as_int(s)) < 1:
         raise DomainError(f"s must be >= 1, got {s}")
-    rep = rep_function([X] * s, k, budget_ops=budget_ops)
-    n = len(rep.domains[0])
-    return CountResult(S=_sum_of_squares(rep), s=s, k=rep.k, set_size=n,
+    k, doms, total, blocks = _sum_blocks([X] * s, k, budget_ops)
+    n = len(doms[0])
+    return CountResult(S=_fold(blocks, total)[1], s=s, k=k, set_size=n,
                        diagonal_lb=n**s)
 
 
 def distinct_sums_bound(domains, k: int,
                         budget_ops: int = DEFAULT_BUDGET) -> DistinctSums:
     """Distinct attainable sums vs. the Cauchy-Schwarz floor total^2 / sum(gamma^2)."""
-    rep = rep_function(domains, k, budget_ops=budget_ops)
-    ssq = _sum_of_squares(rep)
-    distinct = len(rep.counts)
+    k, _, total, blocks = _sum_blocks(domains, k, budget_ops)
+    distinct, ssq = _fold(blocks, total)
     # exact integer comparison before any float is formed
-    assert distinct * ssq >= rep.total**2
-    return DistinctSums(distinct=distinct, lower_bound=rep.total**2 / ssq,
-                        total=rep.total, sum_gamma_sq=ssq)
+    assert distinct * ssq >= total**2
+    return DistinctSums(distinct=distinct, lower_bound=total**2 / ssq,
+                        total=total, sum_gamma_sq=ssq)
 
 
 def t_pq_count(E, s: int, k: int, p: int, q: int,
@@ -376,9 +476,11 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     The two sides are tabulated separately (differences of (s-1)-fold sums
     against single-power differences) and matched, so the cost is
     |E|^(2s-2) + |E|^2 rather than |E|^(2s).  Both tables use the L that
-    holds the larger side's bound, and one union of them, with the left and
-    right counts in two columns, puts each common value in one row.  Counts
-    are int64 when |E|^(2s), which bounds every count product, is below 2^63.
+    holds the larger side's bound.  The right table R is symmetric (swapping
+    x and y negates a value), so sum_v L(v) R(v) is the key-0 entry of
+    L convolved with R: the pairs whose sums lie in [0, 1), which the
+    kernel's exact splits at 0 and 1 find.  Counts are int64 when |E|^(2s),
+    which bounds every count product, is below 2^63.
     """
     E = tuple(sorted(set(map(as_int, E))))
     s, k, p, q = map(as_int, (s, k, p, q))
@@ -400,14 +502,12 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     powers = [x**k for x in E]
     L = _limbs(max(2 * (s - 1) * pk, 2 * qk) * max(abs(powers[0]), abs(powers[-1])))
     dtype = np.int64 if len(E) ** (2 * s) < _INT64 else object
-    lk, lc = _table([([pk * v for v in powers], s - 1),
-                     ([-pk * v for v in powers], s - 1)], L, dtype)
-    rk, rc = _table([([qk * v for v in powers], 1), ([-qk * v for v in powers], 1)],
-                    L, dtype)
-    _, both = _runs([(lk, np.column_stack((lc, 0 * lc))),
-                     (rk, np.column_stack((0 * rc, rc)))])
-    count = int(np.dot(both[:, 0], both[:, 1]))
-    return CountResult(S=count, s=s, k=k, set_size=len(E),
+    left = _join(_sums([([pk * v for v in powers], s - 1),
+                        ([-pk * v for v in powers], s - 1)], L, dtype))
+    right = _join(_sums([([qk * v for v in powers], 1),
+                         ([-qk * v for v in powers], 1)], L, dtype))
+    _, counts = _block(left, right, *(_below(left[0], right[0], b) for b in (0, 1)))
+    return CountResult(S=int(counts.sum()), s=s, k=k, set_size=len(E),
                        diagonal_lb=len(E) ** s)
 
 

@@ -253,6 +253,7 @@ class BalanceCounts:
 
 def model_counts(geometry: BalanceGeometry, s: int, delta_prev: float) -> BalanceCounts:
     """Power-law counts S_{s-1}(P_i) = P_i^lam with lam = delta_prev + 2(s-1) - k."""
+    s = as_int(s)
     lam = delta_prev + 2 * (s - 1) - geometry.k
     return BalanceCounts(
         s=s,

@@ -26,6 +26,7 @@ Arc moments integrate |F|^p, so their odd powers need no conjugate pair.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,6 +191,8 @@ class ArcDissection:
             raise DomainError(f"k must be >= 2, got {k}")
         if not 2 <= P < math.inf:
             raise DomainError(f"P must be finite and >= 2, got {P}")
+        if isinstance(P, numbers.Integral):  # numpy's too: tau stays exact
+            P = int(P)
         tau = 2 * k * P ** (k - 1)
         return ArcDissection(P=float(P), k=k, tau=tau, Q_major=math.floor(P),
                              W=math.sqrt(P), interval=(1 / tau, 1 + 1 / tau))

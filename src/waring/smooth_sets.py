@@ -263,6 +263,7 @@ def size_estimate(k: int, P: float) -> float:
     Report-only: the value can exceed P for small P and is compared against
     built sets side by side, never asserted.
     """
+    k = as_int(k)
     if P < _LOGLOG_FLOOR:
         raise DomainError(f"P must be >= e^e ~ {_LOGLOG_FLOOR:.3f}, got {P}")
     eta = k * math.log(math.log(P))

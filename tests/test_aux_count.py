@@ -2,8 +2,9 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -226,8 +227,8 @@ class TestInt64Kernel:
     def test_t_pq_at_the_int64_edge(self, monkeypatch, T, one_limb):
         widths = set()
         runs = ac._runs
-        monkeypatch.setattr(ac, "_runs", lambda tables: widths.update(
-            len(keys) for keys, _ in tables) or runs(tables))
+        monkeypatch.setattr(ac, "_runs", lambda table: widths.add(len(table[0]))
+                            or runs(table))
         E = [-T, 1, T]
         assert ac.t_pq_count(E, 2, 1, 2, 3).S == ac.brute_force_t_pq(E, 2, 1, 2, 3)
         assert widths == {1 if one_limb else 2}
@@ -273,9 +274,9 @@ class TestInt64Kernel:
 
 
 class TestRunsOracle:
-    """_runs against a sorted dict: one to three limbs; int64, object and
-    two-column counts; one to four raw or pre-reduced tables whose keys are
-    mixed, all distinct or all repeated."""
+    """_runs against a sorted dict: one to three limbs; int64 and object
+    counts; one to four raw or pre-reduced parts, joined into one table,
+    whose keys are mixed, all distinct or all repeated."""
 
     @staticmethod
     def value(L):
@@ -291,15 +292,14 @@ class TestRunsOracle:
         total = {}
         for v, c in entries:
             old = total.get(v)
-            total[v] = c if old is None else (
-                tuple(map(sum, zip(old, c))) if isinstance(c, tuple) else old + c)
+            total[v] = c if old is None else old + c
         return sorted(total.items())
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_equals_sorted_dict(self, data):
         L = data.draw(st.integers(1, 3), label="L")
-        kind = data.draw(st.sampled_from(["int64", "object", "two_column"]))
+        kind = data.draw(st.sampled_from(["int64", "object"]))
         shape = data.draw(st.sampled_from(["mixed", "distinct", "duplicate"]))
         pool = data.draw(st.lists(self.value(L), min_size=1, max_size=30,
                                   unique=True))
@@ -308,8 +308,7 @@ class TestRunsOracle:
         elif shape == "duplicate":
             pool = pool * data.draw(st.integers(2, 3))
         pool = data.draw(st.permutations(pool))
-        count = {"int64": st.integers(1, 3), "object": st.integers(2**64, 2**64 + 3),
-                 "two_column": st.tuples(st.integers(0, 3), st.integers(0, 3))}[kind]
+        count = {"int64": st.integers(1, 3), "object": st.integers(2**64, 2**64 + 3)}[kind]
         entries = list(zip(pool, data.draw(st.lists(
             count, min_size=len(pool), max_size=len(pool)))))
         parts = data.draw(st.integers(1, min(4, len(entries))))
@@ -320,17 +319,15 @@ class TestRunsOracle:
         if data.draw(st.booleans(), label="reduced"):
             tables = [self.reduce(t) for t in tables]
         dtype = object if kind == "object" else np.int64
-        keys, counts = ac._runs([
-            (ac._split([v for v, _ in t], L),
-             np.array([list(c) if kind == "two_column" else c for _, c in t],
-                      dtype=dtype)) for t in tables])
-        want = self.reduce([e for t in tables for e in t])
+        joined = [e for t in tables for e in t]
+        keys, counts = ac._runs([ac._split([v for v, _ in joined], L),
+                                 np.array([c for _, c in joined], dtype=dtype)])
+        want = self.reduce(joined)
         assert keys.dtype == np.int64 and keys.shape == (L, len(want))
         assert counts.dtype == dtype
         values = [sum(int(x) << 62 * j for j, x in enumerate(col)) for col in keys.T]
         assert values == [v for v, _ in want]
-        assert counts.tolist() == [list(c) if kind == "two_column" else c
-                                   for _, c in want]
+        assert counts.tolist() == [c for _, c in want]
 
 
 class TestLeadSort:
@@ -340,9 +337,11 @@ class TestLeadSort:
 
     @staticmethod
     def runs(tables, L):
-        """_runs over (values, counts) tables of Python ints, as plain lists."""
-        keys, counts = ac._runs([(ac._split(vs, L), np.array(cs, dtype=np.int64))
-                                 for vs, cs in tables])
+        """_runs over (values, counts) tables of Python ints, joined into one
+        table, as plain lists."""
+        keys, counts = ac._runs([ac._split([v for vs, _ in tables for v in vs], L),
+                                 np.array([c for _, cs in tables for c in cs],
+                                          dtype=np.int64)])
         rep = ac.RepFunction(k=1, s=1, domains=(), keys=keys, counts=counts,
                              total=0)
         return rep.values.tolist(), counts.tolist()
@@ -359,7 +358,7 @@ class TestLeadSort:
     @staticmethod
     def tables(values, parts, seed):
         """values shuffled with counts 1..3, cut into parts tables; with
-        parts > 1 each table is first reduced, as _convolve's merges are."""
+        parts > 1 each table is first reduced, as the kernel's blocks are."""
         rng = random.Random(seed)
         values = list(values)
         rng.shuffle(values)
@@ -395,20 +394,6 @@ class TestLeadSort:
             tables = self.tables(values, parts, seed)
             assert self.runs(tables, L) == self.want(tables)
 
-    def test_two_column_counts(self):
-        # t_pq_count's union: left and right counts in two columns
-        vs = self.near * 2
-        cs = np.arange(2 * len(vs)).reshape(-1, 2)
-        order = random.Random(4).sample(range(len(vs)), len(vs))
-        keys, counts = ac._runs([(ac._split([vs[i] for i in order], 2), cs[order])])
-        want: dict = {}
-        for v, (a, b) in zip(vs, cs.tolist()):
-            left, right = want.get(v, (0, 0))
-            want[v] = [left + a, right + b]
-        got = ac.RepFunction(1, 1, (), keys, counts, 0).values.tolist()
-        assert got == sorted(want)
-        assert counts.tolist() == [want[v] for v in got]
-
     @staticmethod
     def sorts(monkeypatch):
         """Record each argsort's kind and each lexsort's length."""
@@ -422,18 +407,15 @@ class TestLeadSort:
 
     def test_one_limb_sorts(self, monkeypatch):
         calls = self.sorts(monkeypatch)
-        ac._runs([(np.array([[5, 1, 5, -2]]), np.ones(4, dtype=np.int64))])
-        one = np.ones(2, dtype=np.int64)
-        ac._runs([(np.array([[1, 4]]), one), (np.array([[2, 4]]), one)])
-        assert calls == [("argsort", None), ("argsort", "stable")]
+        ac._runs([np.array([[5, 1, 5, -2]]), np.ones(4, dtype=np.int64)])
+        assert calls == [("argsort", None)]
 
     def test_lexsort_only_unequal_ties(self, monkeypatch):
         calls = self.sorts(monkeypatch)
         # top limbs all 0: b = 62 and the lead is the whole low limb
-        # two reduced tables are ascending runs, which a stable sort merges
         tables = self.tables([3, 1, 2**62 - 1, 0, 2**40, 7] * 2, 2, 0)
         assert self.runs(tables, 2) == self.want(tables)
-        assert calls == [("argsort", "stable")]
+        assert calls == [("argsort", None)]
         del calls[:]
         # top limbs 1 and 2 leave b = 60: the five sums 2^62 + 0..3 share one
         # lead, 2^63 + 2 and 2^63 + 3 another, and 2^62 + 2^60 is alone
@@ -490,23 +472,10 @@ class TestPackedSort:
         _, tied = ac._packed_order(np.array(self.cases["narrow_span"]))
         assert tied is None
 
-    @pytest.mark.parametrize("dtype", [np.int64, object])
-    def test_two_column_counts(self, dtype):
-        vs = random.Random(2).sample(self.cases["wide_span"], self.n)
-        cs = np.arange(2 * len(vs)).reshape(-1, 2).astype(dtype)
-        keys, counts = ac._runs([(np.array([vs]), cs)])
-        want: dict = {}
-        for v, (a, b) in zip(vs, cs.tolist()):
-            left, right = want.get(v, (0, 0))
-            want[v] = [left + a, right + b]
-        assert keys[0].tolist() == sorted(want)
-        assert counts.tolist() == [want[v] for v in sorted(want)]
-        assert counts.dtype == dtype
-
     def test_object_counts(self):
         vs = self.cases["many_duplicates"]
         cs = [2**70 + i for i in range(len(vs))]
-        keys, counts = ac._runs([(np.array([vs]), np.array(cs, dtype=object))])
+        keys, counts = ac._runs([np.array([vs]), np.array(cs, dtype=object)])
         assert (keys[0].tolist(), counts.tolist()) == TestLeadSort.want([(vs, cs)])
 
     def test_one_sort_no_argsort(self, monkeypatch):
@@ -519,7 +488,7 @@ class TestPackedSort:
         keys = np.array([self.cases["narrow_span"]])
         sys.setprofile(profile)
         try:
-            ac._runs([(keys, np.ones(self.n, dtype=np.int64))])
+            ac._runs([keys, np.ones(self.n, dtype=np.int64)])
         finally:
             sys.setprofile(None)
         assert calls == [("sort", self.n)]
@@ -548,11 +517,11 @@ class TestSquare:
             assert ac._limbs(4 * max(map(abs, values))) == L
             counts = [rng.randint(1, 5) + (2**70 if dtype is object else 0)
                       for _ in values]
-            t = ac._runs([(ac._split(values, L), np.array(counts, dtype=dtype))])
+            t = ac._runs([ac._split(values, L), np.array(counts, dtype=dtype)])
             want_keys, want = t
             for _ in range(s - 1):
-                want_keys, want = ac._convolve((want_keys, want), t)
-            keys, got = ac._power(t, s)
+                want_keys, want = ac._join(ac._convolve((want_keys, want), t))
+            keys, got = ac._join(ac._power(t, s))
             assert keys.dtype == np.int64 and got.dtype == want.dtype
             assert np.array_equal(keys, want_keys), s
             assert got.tolist() == want.tolist(), s
@@ -561,7 +530,7 @@ class TestSquare:
         # 2 (2^31 + 5)^2 passes 2^63; (2^31 + 5)^2 + 2 (2^31 + 5) + 1 does not
         c = 2**31 + 5
         t = (ac._split([1, 2**40], 1), np.array([c, 1], dtype=np.int64))
-        keys, counts = ac._power(t, 2)
+        keys, counts = ac._join(ac._power(t, 2))
         assert counts.dtype == np.int64
         assert keys.tolist() == [[2, 2**40 + 1, 2**41]]
         assert counts.tolist() == [c * c, 2 * c, 1]
@@ -573,7 +542,7 @@ class TestSquare:
         c = 2**21 - 3
         values = [1, 2**20, 2**40]
         t = (ac._split(values, 1), np.array([c, 1, 1], dtype=np.int64))
-        keys, counts = ac._power(t, 3)
+        keys, counts = ac._join(ac._power(t, 3))
         want = Counter()
         for idx in product(range(3), repeat=3):
             want[sum(values[i] for i in idx)] += math.prod((c, 1, 1)[i] for i in idx)
@@ -588,8 +557,8 @@ class TestSquare:
         # the single table would send 5,050 * 100 = 505,000 entries
         sizes = []
         runs = ac._runs
-        monkeypatch.setattr(ac, "_runs", lambda tables: sizes.extend(
-            [len(tables[0][1])] if len(tables) == 1 else []) or runs(tables))
+        monkeypatch.setattr(ac, "_runs", lambda table: sizes.append(len(table[1]))
+                            or runs(table))
         assert ac.s_count(range(1, 101), 3, 3).S == 7475446
         assert sizes[0] == 100   # the single table
         assert sum(sizes[1:]) == math.comb(102, 3) == 171_700
@@ -622,6 +591,108 @@ class TestSquare:
         # the two halves of the left table, p^k x^k and -p^k x^k, are squared;
         # the right table's lists differ, so each is a power of one
         assert calls == [(4, 2), (4, 2), (4, 1), (4, 1)] * 2
+
+
+class TestRangeBlocks:
+    """The pair kernel cuts a table into blocks of the pairs whose sums lie
+    in [B_t, B_t+1): _below splits each row exactly at B, the reduced blocks
+    ascend with no overlap, and no block is merged with another."""
+
+    @staticmethod
+    def value(L):
+        """Keys of L limbs whose sums of two fit L limbs: wide, or clustered
+        near 0 and the limb edges, where leads tie and carries happen."""
+        edge = 2 ** (62 * L) - 1
+        near = st.sampled_from([0, 1, 2**61, 2**62 - 1, 2**62, edge])
+        return (st.integers(-edge, edge)
+                | st.builds(lambda v, d, neg: (v + d) * (-1) ** neg,
+                            near, st.integers(-3, 3), st.booleans())
+                ).map(lambda v: max(-edge, min(edge, v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_below_counts_exactly(self, data):
+        L = data.draw(st.integers(1, 3), label="L")
+        rows = data.draw(st.lists(self.value(L), min_size=1, max_size=12))
+        cols = sorted(data.draw(st.lists(self.value(L), min_size=1, max_size=12)))
+        sums = [r + c for r in rows for c in cols]
+        bound = data.draw(st.sampled_from(sums) | st.integers(min(sums) - 2, max(sums) + 2))
+        got = ac._below(ac._split(rows, L), ac._split(cols, L), bound)
+        assert got.tolist() == [sum(r + c < bound for c in cols) for r in rows]
+
+    @staticmethod
+    def ascending(monkeypatch):
+        """Wrap _pairs: each reduced block's keys ascend strictly and lie
+        above the last key of the block before.  Returns (pairs, distinct
+        sums) of each block, in the order built."""
+        sizes, block, pairs = [], ac._block, ac._pairs
+        spy = lambda *args: sizes.append([len((out := block(*args))[1])]) or out
+
+        def checked(*args):
+            last, blocks = None, pairs(*args)
+            while True:
+                monkeypatch.setattr(ac, "_block", spy)
+                try:
+                    keys, counts = next(blocks)
+                except StopIteration:
+                    return
+                finally:
+                    monkeypatch.setattr(ac, "_block", block)
+                values = ac.RepFunction(1, 1, (), keys, counts, 0).values.tolist()
+                assert all(a < b for a, b in zip(values, values[1:]))
+                assert last is None or values[0] > last
+                last = values[-1]
+                sizes[-1].append(len(values))
+                yield keys, counts
+        monkeypatch.setattr(ac, "_pairs", checked)
+        return sizes
+
+    # runs of one sum longer than _BLOCK_PAIRS (k = 1), negative elements
+    # at odd k (x^3 + (-x)^3 = 0), and s = 2, 3 and 4
+    cases = [(range(-70, 71), 2, 1), (range(-20, 21), 2, 3),
+             (range(-12, 13), 3, 3), (range(-8, 9), 4, 1)]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("X,s,k", cases)
+    def test_blocks_ascend(self, monkeypatch, block, X, s, k):
+        sizes = self.ascending(monkeypatch)
+        monkeypatch.setattr(ac, "_BLOCK_PAIRS", block)
+        want = Counter(map(sum, product([x**k for x in X], repeat=s)))
+        rep = ac.rep_function([X] * s, k)
+        assert rep.table == want
+        assert len(sizes) > 1
+        if k == 1:  # one sum's pairs, one per multiset, outnumber _BLOCK_PAIRS
+            runs = Counter(map(sum, combinations_with_replacement(X, s)))
+            assert max(runs.values()) > block
+        assert ac.s_count(X, s, k).S == sum(c * c for c in want.values())
+
+    def test_s_count_at_the_default_block_size(self, monkeypatch):
+        sizes = self.ascending(monkeypatch)
+        cubes = np.arange(1, 2001, dtype=np.int64) ** 3
+        _, gamma = np.unique((cubes[:, None] + cubes).ravel(), return_counts=True)
+        assert ac.s_count(range(1, 2001), 2, 3).S == int(gamma @ gamma)
+        assert len(sizes) >= 2_001_000 // ac._BLOCK_PAIRS
+
+    def test_two_limb_table_at_the_default_block_size(self, monkeypatch):
+        # low limbs 2^61 + 7x carry into the top limb; x + y repeats
+        sizes = self.ascending(monkeypatch)
+        X = [3 * 2**61 + 7 * x for x in range(800)]
+        assert ac._limbs(2 * max(X)) == 2
+        assert ac.s_count(X, 2, 1).S == brute_force_s_count(X, 2, 1)
+        assert len(sizes) > 1
+
+    def test_s_count_memory(self):
+        # pairs_k10's input (count_wide, seed 1): its whole table is 11.5 MiB,
+        # and holding it with a copy passes 23 MiB; a sorted block of about
+        # 2^18 two-limb pairs peaks near 13 MiB
+        X = sorted(random.Random(1).sample(range(1, 3001), 1000))
+        tracemalloc.start()
+        try:
+            assert ac.s_count(X, 2, 10).S == 1999000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
 
 
 class TestPinnedTables:

@@ -8,6 +8,7 @@ import pytest
 
 from waring import aux_count as ac
 from waring import bound_engine as be
+from waring import differences as df
 from waring import expsum_arcs as ea
 from waring import phases
 from waring import smooth_sets as ss
@@ -16,6 +17,7 @@ from waring.errors import DomainError
 ARCS = ea.ArcDissection.make(4.0, 2)
 MINOR = ea.abs_power(ea.FullInterval(4, 2), 2, "minor")
 TABLE = be.delta_iterate(10, 20)
+GEOMETRY = df.BalanceGeometry.from_thetas(3, 1e4, [0.3, 0.2, 0.1])
 SMALL = 2.0**-12 * 0.7371                      # phases' big-integer route
 
 
@@ -67,6 +69,8 @@ CASES = {
         lambda v: ss.build_single_levels(3, 100, 0.5, v), 1),
     "multilevel_spec.k": (lambda v: ss.multilevel_spec(v, [0.3, 0.3, 0.3]), 3),
     "residue_profile.q": (lambda v: ss.residue_profile(range(1, 50), v), 5),
+    "size_estimate.k": (lambda v: ss.size_estimate(v, 100.0), 3),
+    "model_counts.s": (lambda v: df.model_counts(GEOMETRY, v, 1.0), 2),
     "FullInterval.P": (lambda v: _sum(ea.FullInterval(v, 3)), 10),
     "FullInterval.k": (lambda v: _sum(ea.FullInterval(100, v)), 10),
     "PrimeSmooth.k": (lambda v: _sum(ea.PrimeSmooth(v, 9.0, (2, 3), (1, 2))), 3),

@@ -319,6 +319,19 @@ class TestDissection:
         for q, a, center, hw in arcs:
             assert center == a / q and hw == 1 / (q * d.tau)
 
+    @pytest.mark.parametrize("P,k", [(50, 3), (10**7, 4)])
+    def test_numpy_integer_P_reads_as_int(self, P, k):
+        # at P = 10^7, k = 4, P^(k-1) = 10^21 passes 2^63: an int64 tau wraps
+        d, want = ea.ArcDissection.make(np.int64(P), k), ea.ArcDissection.make(P, k)
+        assert type(d.tau) is int and d.tau == want.tau == 2 * k * P ** (k - 1)
+        assert d == want
+        for alpha in (0.3, 0.5, 1 / 3 + 1e-9, want.interval[0], 0.7071):
+            assert ea.classify(alpha, d) == ea.classify(alpha, want)
+
+    def test_float_P_keeps_float_tau(self):
+        assert ea.ArcDissection.make(12.5, 3).tau == 2 * 3 * 12.5**2
+        assert type(ea.ArcDissection.make(12.5, 3).tau) is float
+
     def test_domain(self):
         for P, k in ((10, 1), (10, 3.0), (1.5, 3), (math.nan, 3), (math.inf, 3)):
             with pytest.raises(DomainError):
