@@ -44,7 +44,8 @@ from itertools import groupby, product
 import numpy as np
 
 from . import smooth_sets
-from .errors import BudgetError, CoprimalityError, DomainError, as_int
+from .errors import (CoprimalityError, DomainError, as_int, as_real, at_least,
+                     check_budget)
 
 DEFAULT_BUDGET = 10**9
 _INT64 = 2**63             # every int64 count the kernel forms lies below this
@@ -122,17 +123,13 @@ class Lemma1Report:
     base_levels: int
 
 
-def _normalize_domains(domains) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(sorted(set(map(as_int, X)))) for X in domains)
+def _normalize_domains(domains, name: str = "every domain") -> tuple:
+    """Each domain as a sorted tuple of distinct ints; an ascending range stays unread."""
+    out = tuple(X if isinstance(X, range) and X.step > 0
+                else tuple(sorted(set(map(as_int, X)))) for X in domains)
     if not all(out):
-        raise DomainError("every domain must be nonempty")
+        raise DomainError(f"{name} must be nonempty")
     return out
-
-
-def _check_budget(cost: int, budget: int, what: str) -> None:
-    if cost > budget:
-        raise BudgetError(f"{what}: predicted cost {cost} exceeds budget {budget}",
-                          predicted=cost, budget=budget)
 
 
 def _limbs(top: int) -> int:
@@ -400,17 +397,19 @@ def _sums(runs: list, L: int, dtype):
     return _power(_runs([_split(values, L), np.ones(len(values), dtype=dtype)]), m)
 
 
-def _sum_blocks(domains, k: int, budget_ops: int):
-    """k, the normalised domains, the number of tuples and the reduced blocks,
-    in ascending key ranges, of the gamma table of sums of k-th powers.
+def _sum_blocks(what: str, domains, k: int, budget_ops: int, repeat: int = 1):
+    """k, the normalised domains (each read once, then repeated), the number
+    of tuples and the reduced blocks, in ascending key ranges, of the gamma
+    table of sums of k-th powers; over budget, `what` is refused before a
+    range is read.
 
     L comes from sum_i max_{x in X_i} |x|^k (plain int64 keys when every sum
     fits); m equal domains in a row sum each multiset of m elements once."""
-    if (k := as_int(k)) < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = at_least("k", k, 1)
     doms = _normalize_domains(domains)
-    total = math.prod(len(X) for X in doms)
-    _check_budget(total, budget_ops, "rep_function")
+    total = math.prod(len(X) for X in doms) ** repeat
+    check_budget(what, total, budget_ops)
+    doms = tuple(map(tuple, doms)) * repeat
     powers = [[x**k for x in X] for X in doms]
     # |x| and so |x^k| is largest at an end of the sorted domain
     top = sum(max(abs(ps[0]), abs(ps[-1])) for ps in powers)
@@ -423,7 +422,7 @@ def rep_function(domains, k: int, budget_ops: int = DEFAULT_BUDGET) -> RepFuncti
 
     Memory is O(L * distinct sums + _BLOCK_PAIRS), plus the (m-1)-multisets
     when m > 2 equal domains."""
-    k, doms, total, blocks = _sum_blocks(domains, k, budget_ops)
+    k, doms, total, blocks = _sum_blocks("rep_function", domains, k, budget_ops)
     keys, counts = _join(blocks)
     assert int(counts.sum()) == total
     return RepFunction(k=k, s=len(doms), domains=doms, keys=keys,
@@ -450,9 +449,8 @@ def s_count(X, s: int, k: int, budget_ops: int = DEFAULT_BUDGET) -> CountResult:
 
     The gamma table is never held whole: memory is one block of about
     _BLOCK_PAIRS pairs, plus the (s-1)-multisets when s > 2."""
-    if (s := as_int(s)) < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
-    k, doms, total, blocks = _sum_blocks([X] * s, k, budget_ops)
+    s = at_least("s", s, 1)
+    k, doms, total, blocks = _sum_blocks("s_count", [X], k, budget_ops, s)
     n = len(doms[0])
     return CountResult(S=_fold(blocks, total)[1], s=s, k=k, set_size=n,
                        diagonal_lb=n**s)
@@ -461,7 +459,7 @@ def s_count(X, s: int, k: int, budget_ops: int = DEFAULT_BUDGET) -> CountResult:
 def distinct_sums_bound(domains, k: int,
                         budget_ops: int = DEFAULT_BUDGET) -> DistinctSums:
     """Distinct attainable sums vs. the Cauchy-Schwarz floor total^2 / sum(gamma^2)."""
-    k, _, total, blocks = _sum_blocks(domains, k, budget_ops)
+    k, _, total, blocks = _sum_blocks("distinct_sums_bound", domains, k, budget_ops)
     distinct, ssq = _fold(blocks, total)
     # exact integer comparison before any float is formed
     assert distinct * ssq >= total**2
@@ -482,12 +480,8 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     kernel's exact splits at 0 and 1 find.  Counts are int64 when |E|^(2s),
     which bounds every count product, is below 2^63.
     """
-    E = tuple(sorted(set(map(as_int, E))))
-    s, k, p, q = map(as_int, (s, k, p, q))
-    if not E:
-        raise DomainError("E must be nonempty")
-    if s < 2:
-        raise DomainError(f"s must be >= 2, got {s}")
+    E, = _normalize_domains([E], "E")
+    s, k, p, q = at_least("s", s, 2), as_int(k), as_int(p), as_int(q)
     for name, v in (("p", p), ("q", q)):
         if not smooth_sets.is_prime(v):
             raise DomainError(f"{name}={v} is not prime")
@@ -496,7 +490,7 @@ def t_pq_count(E, s: int, k: int, p: int, q: int,
     for x in E:
         if x % p == 0:
             raise CoprimalityError(f"element {x} is not coprime to p={p}")
-    _check_budget(len(E) ** (2 * s), budget_ops, "t_pq_count")
+    check_budget("t_pq_count", len(E) ** (2 * s), budget_ops)
 
     pk, qk = p**k, q**k
     powers = [x**k for x in E]
@@ -550,11 +544,13 @@ def lemma1_check(k: int, s: int, P: float, theta: float, base_levels: int = 0,
 
 def exponent_fit(runs) -> ExponentFit:
     """Least-squares slope of log S against log P."""
-    pts = [(float(P), int(S)) for P, S in runs]
+    pts = [(as_real("P", P), int(S)) for P, S in runs]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points, got {len(pts)}")
     if len({P for P, _ in pts}) != len(pts):
         raise DomainError("P values must be distinct")
+    if not all(P > 0 and S > 0 for P, S in pts):
+        raise DomainError(f"every P and S must be positive, got {pts}")
     xs = [math.log(P) for P, _ in pts]
     ys = [math.log(S) for _, S in pts]
     n = len(pts)

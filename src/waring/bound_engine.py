@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import count, islice
 from operator import itemgetter
 
-from .errors import DomainError, RootBracketError, as_int
+from .errors import DomainError, RootBracketError, as_int, at_least
 
 SMALL_K_CUTOFF = 10  # results below this k are computed but flagged
 
@@ -105,11 +105,7 @@ class GkResult:
 
 
 def _check_ks(k: int, s: int) -> tuple[int, int]:
-    if (k := as_int(k)) < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
-    if (s := as_int(s)) < 2:
-        raise DomainError(f"s must be >= 2, got {s}")
-    return k, s
+    return at_least("k", k, 3), at_least("s", s, 2)
 
 
 def lambda_closed(k: int, s: int) -> float:

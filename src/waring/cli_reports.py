@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from . import acceptance, aux_count, bound_engine, differences, expsum_arcs, \
     smooth_sets
-from .errors import BudgetError, DomainError, WaringError
+from .errors import BudgetError, WaringError, at_least
 
 
 class ConfigError(WaringError):
@@ -440,18 +440,8 @@ def _cmd_arcs(cfg: RunConfig) -> int:
     k = cfg.k
     P = cfg.P[0]
     d = expsum_arcs.ArcDissection.make(P, k)
-    rows = []
-    for q, a, center, halfwidth in d.raw_major_arcs():
-        rows.append({"record": "arc", "q": q, "a": a, "center": center,
-                     "halfwidth": halfwidth,
-                     "provenance": "expsum_arcs.ArcDissection.raw_major_arcs"})
-    policy = expsum_arcs.SamplingPolicy(n_points=cfg.points, seed=cfg.seed)
-    w = expsum_arcs.weyl_ratio(int(P), k, policy)
-    rows.append({"record": "weyl", "P": P, "k": k,
-                 "max_ratio": w.max_ratio, "argmax_alpha": w.argmax_alpha,
-                 "n_minor": w.n_minor, "n_candidates": w.n_candidates,
-                 "provenance": "expsum_arcs.weyl_ratio"})
     spec = expsum_arcs.FullInterval(P=int(P), k=k)
+    moments = []   # first: an over-budget grid is refused before the arcs
     for moment_id, power, region in (
             ("abs_f4_full", 4, "full"), ("abs_f4_major", 4, "major"),
             ("abs_f4_minor", 4, "minor"), ("abs_f_k2_major", k + 2, "major")):
@@ -468,18 +458,26 @@ def _cmd_arcs(cfg: RunConfig) -> int:
                "err_est": err_est}
         if moment_id == "abs_f_k2_major":
             row["ratio_to_P2"] = value / P**2
-        rows.append({**row, "seconds": f"{time.perf_counter() - t0:.3f}",
-                     "provenance": f"expsum_arcs.{via}"})
-    _emit_rows(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, rows)
+        moments.append({**row, "seconds": f"{time.perf_counter() - t0:.3f}",
+                        "provenance": f"expsum_arcs.{via}"})
+    rows = [{"record": "arc", "q": q, "a": a, "center": center,
+             "halfwidth": halfwidth,
+             "provenance": "expsum_arcs.ArcDissection.raw_major_arcs"}
+            for q, a, center, halfwidth in d.raw_major_arcs()]
+    policy = expsum_arcs.SamplingPolicy(n_points=cfg.points, seed=cfg.seed)
+    w = expsum_arcs.weyl_ratio(int(P), k, policy)
+    rows.append({"record": "weyl", "P": P, "k": k,
+                 "max_ratio": w.max_ratio, "argmax_alpha": w.argmax_alpha,
+                 "n_minor": w.n_minor, "n_candidates": w.n_candidates,
+                 "provenance": "expsum_arcs.weyl_ratio"})
+    _emit_rows(cfg, {"subcommand": "arcs", "tau": d.tau, "W": d.W}, rows + moments)
     return 0
 
 
 def _cmd_diff(cfg: RunConfig) -> int:
     if cfg.levels == 0:
         raise ConfigError("diff needs --levels >= 1, got 0")
-    k = cfg.k
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = at_least("k", cfg.k, 1)
     rows = []
     primes = (2, 3, 5, 7)
     levels = min(3, k) if cfg.levels is None else cfg.levels

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
 
-from .errors import BudgetError, DomainError, as_int
+from .errors import DomainError, as_int, as_real, check_budget
 from .phases import unit_sum
 from .smooth_sets import is_prime
 
@@ -208,9 +208,7 @@ def f_i_sum(alpha: float, q: int, k: int, H, windows, x_range: int,
     deterministic; the term count is checked against the budget first.
     """
     q, k, H, wins, x_range, terms = nested_ranges(q, k, H, windows, x_range)
-    if terms > budget:
-        raise BudgetError(f"{terms} terms exceed budget {budget}",
-                          predicted=terms, budget=budget)
+    check_budget("f_i_sum", terms, budget)
     return unit_sum(nested_frequencies(q, k, H, wins, x_range), alpha)
 
 
@@ -234,6 +232,8 @@ class BalanceGeometry:
         thetas = tuple(float(t) for t in thetas)
         if len(thetas) != (k := as_int(k)):
             raise DomainError(f"need {k} construction exponents, got {len(thetas)}")
+        if as_real("P", P) <= 0:
+            raise DomainError(f"P must be positive, got {P}")
         Z = tuple(P**t for t in thetas)
         H = tuple(P / z**k for z in Z)
         levels = [float(P)]

@@ -1,11 +1,15 @@
-"""Exception types shared by every module, and as_int, its integer reader.
+"""Exception types shared by every module, and what every entry point reads
+and refuses its arguments through before any work: as_int (an integer),
+at_least (an integer floor), as_real (a finite real) and check_budget (cost).
 
 The distinct classes matter to callers: the CLI maps BudgetError to its own
 exit code, and the construction errors carry enough context (level index,
 offending element, predicted cost) to be actionable without a traceback.
 """
 
+import numbers
 import operator
+import sys
 
 
 class WaringError(Exception):
@@ -24,6 +28,20 @@ def as_int(v) -> int:
         raise DomainError(f"{v!r} is not an integer") from None
 
 
+def at_least(name: str, v, least: int) -> int:
+    """v read by as_int, refused if it is below least."""
+    if (n := as_int(v)) < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
+def as_real(name: str, v) -> float:
+    """v as a finite float; nan, an infinity, a str, None or any non-real is refused."""
+    if isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise DomainError(f"{name} must be a finite real number, got {v!r}")
+
+
 class BudgetError(WaringError):
     """Predicted cost of an exact computation exceeds the configured budget."""
 
@@ -32,6 +50,13 @@ class BudgetError(WaringError):
         super().__init__(message)
         self.predicted = predicted
         self.budget = budget
+
+
+def check_budget(what: str, cost: int, budget: int) -> None:
+    """Refuse the work `what`, named by its public function, over budget."""
+    if cost > budget:
+        raise BudgetError(f"{what}: predicted cost {cost} exceeds budget {budget}",
+                          predicted=cost, budget=budget)
 
 
 class EmptyWindowError(DomainError):

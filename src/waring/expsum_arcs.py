@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import differences
-from .errors import BudgetError, DomainError, as_int
+from .errors import DomainError, as_int, as_real, at_least, check_budget
 from .phases import exact_sum, unit_sum, unit_sums
 
 DEFAULT_GRID_BUDGET = 1 << 26
@@ -75,9 +75,9 @@ class PrimeSmooth:
     @staticmethod
     def make(k: int, P: float) -> "PrimeSmooth":
         from . import smooth_sets
-        X = math.floor(math.sqrt(P))
-        if X < 2:
+        if as_real("P", P) < 4:
             raise DomainError(f"P={P} too small: sqrt window below 2")
+        X = math.floor(math.sqrt(P))
         win = smooth_sets.primes_in(2, X)
         return PrimeSmooth(k=k, P=float(P),
                            primes=tuple(p for p in win.primes if 2 * p > X),
@@ -111,8 +111,7 @@ def _product_form(spec) -> tuple:
         ms, xs = spec.primes, spec.elements
     else:
         raise DomainError(f"unknown spec {spec!r}")
-    if (k := as_int(spec.k)) < 1:
-        raise DomainError(f"k must be >= 1, got {spec.k}")
+    k = at_least("k", spec.k, 1)
     if not ms or not xs:
         raise DomainError(f"{type(spec).__name__} sum has no terms")
     return ms, xs, k
@@ -187,8 +186,7 @@ class ArcDissection:
 
     @staticmethod
     def make(P: float, k: int) -> "ArcDissection":
-        if (k := as_int(k)) < 2:
-            raise DomainError(f"k must be >= 2, got {k}")
+        k = at_least("k", k, 2)
         if not 2 <= P < math.inf:
             raise DomainError(f"P must be finite and >= 2, got {P}")
         if isinstance(P, numbers.Integral):  # numpy's too: tau stays exact
@@ -381,11 +379,8 @@ def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float
         raise DomainError("absolute moments need conjugate-paired factors; "
                           "odd powers only via arc_moment")
     M = _frequency_span(m) + 1
-    cost = M if M > budget_grid else grid_cost(M)
-    if cost > budget_grid:
-        raise BudgetError(f"grid of {M} points costs {cost} FFT points, over "
-                          f"budget {budget_grid}", predicted=cost,
-                          budget=budget_grid)
+    check_budget(f"exact_moment: grid of {M} points",
+                 M if M > budget_grid else grid_cost(M), budget_grid)
     def transform(freqs):
         grid = np.bincount(np.asarray(freqs, dtype=np.int64) % M,
                            minlength=M).astype(complex)
@@ -439,8 +434,7 @@ def arc_moment(m: MomentSpec, d: ArcDissection,
     if m.region == "full":
         raise DomainError("arc_moment requires an arc region; "
                           "use exact_moment for region='full'")
-    if (samples_per_arc := as_int(samples_per_arc)) < 16:
-        raise DomainError(f"samples_per_arc must be >= 16, got {samples_per_arc}")
+    samples_per_arc = at_least("samples_per_arc", samples_per_arc, 16)
     ivs = d.region_intervals(m.region)
 
     def pass_at(n: int) -> float:
@@ -470,8 +464,7 @@ class SamplingPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if as_int(self.n_points) < 1:
-            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
+        at_least("n_points", self.n_points, 1)
 
     def candidates(self, d: ArcDissection) -> list:
         offset = random.Random(as_int(self.seed)).random()

@@ -40,12 +40,11 @@ picks the sign).  exact_sum is the one-row case.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_int
+from .errors import as_int, as_real
 
 _TWO_PI = 2.0 * math.pi
 _WORD = 1 << 64
@@ -98,12 +97,6 @@ def exact_sum(x: np.ndarray) -> float:
     return _row_sums(np.reshape(x, (1, -1)))[0]
 
 
-def _ratio(alpha) -> tuple[int, int]:
-    if isinstance(alpha, (float, int, numbers.Real)) and math.isfinite(alpha):
-        return float(alpha).as_integer_ratio()
-    raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
-
-
 def _word_terms(freqs, ratios: list) -> np.ndarray:
     """Rows of cos, then rows of sin, from uint64 residues (den <= 2^64 and
     every frequency in int64)."""
@@ -135,7 +128,7 @@ def unit_sums(freqs: Sequence[int], alphas: Sequence[float]) -> list[complex]:
     """Sum of e(f * alpha) over integer frequencies (a sequence of ints or
     an int64 array) at each alpha, each part correctly rounded.  A nan,
     infinite or non-real alpha or a non-integer frequency is a DomainError."""
-    ratios = [_ratio(a) for a in alphas]
+    ratios = [as_real("alpha", a).as_integer_ratio() for a in alphas]
     f = np.asarray(freqs)    # past int64, numpy infers uint64, float or object
     routes = ([], [])
     for i, (_, den) in enumerate(ratios):

@@ -21,7 +21,8 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import DomainError, EmptyWindowError, WidthOverflowError, as_int
+from .errors import (DomainError, EmptyWindowError, WidthOverflowError, as_int,
+                     as_real, at_least)
 
 SIEVE_LIMIT = 10**9
 WIDTH_LIMIT = 2**63 - 1
@@ -51,8 +52,7 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
     lo, hi = as_int(lo), as_int(hi)
     if hi < lo:
         raise DomainError(f"empty range: hi={hi} < lo={lo}")
-    if lo < 2:
-        raise DomainError(f"lo must be >= 2, got {lo}")
+    at_least("lo", lo, 2)
     if hi > SIEVE_LIMIT:
         raise DomainError(f"hi={hi} exceeds sieve limit {SIEVE_LIMIT}")
     root = math.isqrt(hi)
@@ -175,12 +175,10 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
     is {1..base_floor} with base_floor = floor(P / prod(window midpoints)),
     clamped to at least 1.  levels=0 returns the bare interval [1..floor(P)].
     """
-    if (k := as_int(k)) < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
-    if (levels := as_int(levels)) < 0:
-        raise DomainError(f"levels must be >= 0, got {levels}")
+    k, levels = at_least("k", k, 3), at_least("levels", levels, 0)
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    P = as_real("P", P)
     at_limit = theta <= 1.0 / k
     if at_limit:
         warnings.warn(f"theta={theta} is at or below 1/k for k={k}; "
@@ -217,6 +215,7 @@ def build_multilevel(spec: SmoothSpec, P: float) -> list[SmoothSet]:
     """
     if spec.mode != "multi" or spec.thetas is None:
         raise DomainError("spec must be a multi-mode spec with a schedule")
+    P = as_real("P", P)
     Z = [P**t for t in spec.thetas]
     wins = [_window(z, i, f"Z_{i} = {z:.4g}") for i, z in enumerate(Z, start=1)]
     # P_k = P/Z_1/.../Z_k in that order; P/prod(Z) rounds differently
@@ -236,8 +235,7 @@ class ResidueProfile:
 
 def residue_profile(elements, q: int) -> ResidueProfile:
     """Exact counts of elements per residue class coprime to q."""
-    if (q := as_int(q)) < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    q = at_least("q", q, 2)
     elems = getattr(elements, "elements", elements)
     coprime = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     counts = {a: 0 for a in coprime}
@@ -264,7 +262,7 @@ def size_estimate(k: int, P: float) -> float:
     built sets side by side, never asserted.
     """
     k = as_int(k)
-    if P < _LOGLOG_FLOOR:
+    if as_real("P", P) < _LOGLOG_FLOOR:
         raise DomainError(f"P must be >= e^e ~ {_LOGLOG_FLOOR:.3f}, got {P}")
     eta = k * math.log(math.log(P))
     log_val = (math.log(P)

@@ -810,6 +810,20 @@ class TestBudgetExit:
         assert code == 3
         assert json.loads(err)["error"] == "BudgetError"
 
+    def test_long_grid_refused_before_the_arcs_are_listed(self, capsys,
+                                                          monkeypatch):
+        # M = 4 * 1000^3 + 1: the arc rows (about 304,000) and the Weyl
+        # scan come after the moments, so neither is built
+        def listed(*args, **kw):
+            raise AssertionError("arcs listed before the budget check")
+        monkeypatch.setattr(cli.expsum_arcs.ArcDissection, "raw_major_arcs", listed)
+        monkeypatch.setattr(cli.expsum_arcs, "weyl_ratio", listed)
+        code, _, err = run_cli(["arcs", "--k", "3", "--P", "1000"], capsys)
+        assert code == 3
+        assert json.loads(err)["message"] == (
+            "exact_moment: grid of 4000000001 points: predicted cost "
+            "4000000001 exceeds budget 67108864")
+
     def test_bluestein_grid_refused_before_any_transform(self, capsys,
                                                          monkeypatch):
         # M = 4 * 200^3 + 1 = 3 * 11 * 17 * 57041 is charged as three

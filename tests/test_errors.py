@@ -1,18 +1,24 @@
-"""errors.as_int, the one reader of an integer argument, at every entry point
-that takes one."""
+"""errors' readers and checks at every entry point: as_int for an integer
+argument, at_least for an integer floor, as_real for a real argument and
+check_budget for predicted work; and no other module refusing on its own."""
 
+import ast
+import math
+import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from waring import aux_count as ac
 from waring import bound_engine as be
+from waring import cli_reports as cli
 from waring import differences as df
 from waring import expsum_arcs as ea
 from waring import phases
 from waring import smooth_sets as ss
-from waring.errors import DomainError
+from waring.errors import BudgetError, DomainError
 
 ARCS = ea.ArcDissection.make(4.0, 2)
 MINOR = ea.abs_power(ea.FullInterval(4, 2), 2, "minor")
@@ -111,3 +117,135 @@ def test_integer_argument_is_read_exactly(monkeypatch, call, good):
     for bad in (good + 0.5, float(good), str(good)):
         with pytest.raises(DomainError, match=re.escape(repr(bad))):
             call(bad)
+
+
+# each entry: one call with its real argument v, and a valid value for v
+REAL_CASES = {
+    "PrimeSmooth.make.P": (lambda v: ea.PrimeSmooth.make(3, v), 9.0),
+    "build_single_levels.P": (lambda v: ss.build_single_levels(3, v, 0.4, 1), 100.0),
+    "build_multilevel.P": (
+        lambda v: ss.build_multilevel(ss.multilevel_spec(3, [0.3, 0.2, 0.1]), v), 1e4),
+    "lemma1_check.P": (lambda v: ac.lemma1_check(3, 2, v, 0.4), 100.0),
+    "size_estimate.P": (lambda v: ss.size_estimate(3, v), 100.0),
+    "BalanceGeometry.from_thetas.P": (
+        lambda v: df.BalanceGeometry.from_thetas(3, v, [0.3, 0.2, 0.1]), 1e4),
+    "exponent_fit.P": (lambda v: ac.exponent_fit([(v, 5), (20, 9), (30, 12)]), 10.0),
+    "unit_sum.alpha": (lambda v: phases.unit_sum([1, 2], v), 0.25),
+}
+
+
+@pytest.mark.parametrize("call,good", REAL_CASES.values(), ids=list(REAL_CASES))
+def test_real_argument_is_read_finite(monkeypatch, call, good):
+    call(good)
+    for module in (ac, be, df, ea, phases, ss):
+        monkeypatch.setattr(module, "math", _NoWork())
+    for module in (ac, ea, phases, ss):
+        monkeypatch.setattr(module, "np", _NoWork())
+    for bad in (math.nan, math.inf, -math.inf, "3", None):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ea.PrimeSmooth.make(3, -5.0),
+    lambda: df.BalanceGeometry.from_thetas(3, -1.0, [0.3, 0.2, 0.1]),
+    lambda: df.BalanceGeometry.from_thetas(3, 0.0, [0.3, 0.2, 0.1]),
+    lambda: ac.exponent_fit([(0, 5), (20, 9), (30, 12)]),
+    lambda: ac.exponent_fit([(10, 0), (20, 9), (30, 12)]),
+], ids=["PrimeSmooth", "geometry-", "geometry0", "fit-P", "fit-S"])
+def test_real_argument_outside_its_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# each entry: the name a floor refusal gives, the floor and one call with v
+FLOORS = {
+    "rep_function.k": ("k", 1, lambda v: ac.rep_function([[1, 2]], v)),
+    "s_count.s": ("s", 1, lambda v: ac.s_count([1, 2], v, 3)),
+    "t_pq_count.s": ("s", 2, lambda v: ac.t_pq_count([1, 3], v, 2, 2, 5)),
+    "lambda_closed.k": ("k", 3, lambda v: be.lambda_closed(v, 5)),
+    "lambda_closed.s": ("s", 2, lambda v: be.lambda_closed(10, v)),
+    "FullInterval.k": ("k", 1, lambda v: ea.FullInterval(10, v)),
+    "ArcDissection.k": ("k", 2, lambda v: ea.ArcDissection.make(10.0, v)),
+    "arc_moment.samples_per_arc": (
+        "samples_per_arc", 16, lambda v: ea.arc_moment(MINOR, ARCS, v)),
+    "SamplingPolicy.n_points": ("n_points", 1, ea.SamplingPolicy),
+    "build_single_levels.k": (
+        "k", 3, lambda v: ss.build_single_levels(v, 100, 0.5, 1)),
+    "build_single_levels.levels": (
+        "levels", 0, lambda v: ss.build_single_levels(3, 100, 0.5, v)),
+    "residue_profile.q": ("q", 2, lambda v: ss.residue_profile(range(1, 50), v)),
+    "primes_in.lo": ("lo", 2, lambda v: ss.primes_in(v, 30)),
+    "diff.k": ("k", 1, lambda v: cli._cmd_diff(cli.RunConfig("diff", k=v))),
+}
+
+
+@pytest.mark.parametrize("name,least,call", FLOORS.values(), ids=list(FLOORS))
+def test_floor_message(name, least, call):
+    with pytest.raises(DomainError) as err:
+        call(least - 1)
+    assert str(err.value) == f"{name} must be >= {least}, got {least - 1}"
+
+
+# each entry: the name a budget refusal gives and one over-budget call
+BUDGETS = {
+    "rep_function": lambda: ac.rep_function([range(100)] * 3, 2, budget_ops=10**5),
+    "s_count": lambda: ac.s_count(range(100), 3, 2, budget_ops=10**5),
+    "distinct_sums_bound": lambda: ac.distinct_sums_bound([[1, 2, 3]] * 3, 2,
+                                                          budget_ops=26),
+    "t_pq_count": lambda: ac.t_pq_count([1, 3, 5], 2, 2, 2, 7, budget_ops=80),
+    "exact_moment: grid of 41 points": lambda: ea.exact_moment(
+        ea.abs_power(ea.FullInterval(10, 1), 4), budget_grid=40),
+    "f_i_sum": lambda: df.f_i_sum(0.1, 2, 3, [10, 10], [(2,), (3,)], 10, budget=999),
+}
+
+
+@pytest.mark.parametrize("what,call", BUDGETS.items(), ids=list(BUDGETS))
+def test_budget_refusal_names_the_refused_function(what, call):
+    with pytest.raises(BudgetError) as err:
+        call()
+    e = err.value
+    assert str(e) == f"{what}: predicted cost {e.predicted} exceeds budget {e.budget}"
+    assert e.predicted > e.budget
+
+
+def test_s_count_refuses_a_range_unread():
+    # (10^6 - 1)^2 pairs: refused on the range's length, with no tuple of it
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="^s_count: "):
+            ac.s_count(range(1, 10**6), 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _template(node) -> str:
+    """A message's literal text, with {} for each formatted value."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return ""
+
+
+def test_only_errors_formats_floors_and_budgets():
+    # an integer floor is "must be >= " then a number or a formatted value;
+    # a real floor (size_estimate's "P must be >= e^e ~ ...") is not one
+    floor = re.compile(r"must be >= (\d|\{\})")
+    src = pathlib.Path(ac.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            func = node.exc.func
+            name = getattr(func, "id", getattr(func, "attr", ""))
+            if name == "BudgetError" or (name == "DomainError" and any(
+                    floor.search(_template(a)) for a in node.exc.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
