@@ -22,6 +22,7 @@ beta = (k-2)(k+1)^2/k^2 feeds sigma_hat = log(1+1/k)/(4(1+root)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
@@ -119,7 +120,7 @@ def lambda_iterate(k: int, s_max: int, theta: float) -> ExponentTable:
     """Iterate lambda_s = (lambda_{s-1} + 1 + 2 s theta)/(1 + theta) from
     lambda_2 = 2."""
     k, s_max = _check_ks(k, s_max)
-    if not 0.0 < theta <= 1.0:
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     lambdas = [2.0]
     thetas_used = [math.nan]
@@ -178,7 +179,7 @@ def theta_schedule(k: int, delta_prev: float) -> ThetaSchedule:
     The last entry is pinned to exactly 1/k.
     """
     k, _ = _check_ks(k, 2)
-    if not 0.0 < delta_prev < k:
+    if not (isinstance(delta_prev, numbers.Real) and 0.0 < delta_prev < k):
         raise DomainError(
             f"delta_prev must lie in (0, k); got {delta_prev} for k={k}")
     base = 1.0 / (k + delta_prev)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from . import differences
+from . import differences, smooth_sets
 from .errors import DomainError, as_int, as_real, at_least, check_budget
 from .phases import exact_sum, unit_sum, unit_sums
 
@@ -74,13 +75,11 @@ class PrimeSmooth:
 
     @staticmethod
     def make(k: int, P: float) -> "PrimeSmooth":
-        from . import smooth_sets
         if as_real("P", P) < 4:
             raise DomainError(f"P={P} too small: sqrt window below 2")
         X = math.floor(math.sqrt(P))
-        win = smooth_sets.primes_in(2, X)
         return PrimeSmooth(k=k, P=float(P),
-                           primes=tuple(p for p in win.primes if 2 * p > X),
+                           primes=smooth_sets.primes_in(X // 2 + 1, X).primes,
                            elements=tuple(range(1, X + 1)))
 
 
@@ -187,7 +186,7 @@ class ArcDissection:
     @staticmethod
     def make(P: float, k: int) -> "ArcDissection":
         k = at_least("k", k, 2)
-        if not 2 <= P < math.inf:
+        if not (isinstance(P, numbers.Real) and 2 <= P <= sys.float_info.max):
             raise DomainError(f"P must be finite and >= 2, got {P}")
         if isinstance(P, numbers.Integral):  # numpy's too: tau stays exact
             P = int(P)
@@ -344,15 +343,15 @@ def grid_cost(M: int) -> int:
 
     M, unless the largest prime factor p of M has p^2 > M: numpy's FFT then
     runs a padded Bluestein transform, three transforms of the least
-    11-smooth length >= 2M - 1, and that is the charge.
+    11-smooth length >= 2M - 1, and that is the charge.  Such a p is what
+    is left of M divided by every prime up to isqrt(M); M = 2 and 3, with
+    no such prime, are charged as their own p.
     """
-    rest, p, d = M, 1, 2
-    while d * d <= rest:
-        while rest % d == 0:
-            rest, p = rest // d, d
-        d += 1
-    p = max(p, rest)
-    return 3 * _smooth_ceil(2 * M - 1) if p * p > M else M
+    rest = M
+    for p in smooth_sets.primes_in(2, math.isqrt(M)).primes if M >= 4 else ():
+        while rest % p == 0:
+            rest //= p
+    return 3 * _smooth_ceil(2 * M - 1) if rest > 1 else M
 
 
 def exact_moment(m: MomentSpec, budget_grid: int = DEFAULT_GRID_BUDGET) -> float:

@@ -14,6 +14,7 @@ would exceed the width raises instead of wrapping.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -45,9 +46,9 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
 
     A segment spans _SEGMENT integers (even) from an odd start and holds
     only their odd numbers, seg[i] standing for start + 2i; 2 is added up
-    front.  Each odd prime up to sqrt(hi) crosses off its odd multiples
-    from max(p^2, start) on with one slice assignment, stride p in index
-    space.
+    front.  Each odd prime up to sqrt(hi), from primes_in(3, isqrt(hi))
+    itself, crosses off its odd multiples from max(p^2, start) on with one
+    slice assignment, stride p in index space.
     """
     lo, hi = as_int(lo), as_int(hi)
     if hi < lo:
@@ -56,12 +57,7 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
     if hi > SIEVE_LIMIT:
         raise DomainError(f"hi={hi} exceeds sieve limit {SIEVE_LIMIT}")
     root = math.isqrt(hi)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p::p] = False
-    small = np.flatnonzero(base)[1:].tolist()  # the odd primes
+    small = primes_in(3, root).primes if root >= 3 else ()
     out: list[int] = [2] if lo <= 2 else []
     for start in range(lo | 1, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT, hi + 1)
@@ -79,17 +75,11 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of one number by trial division; primes_in enumerates ranges."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime: no prime of primes_in(2, isqrt(n)) divides it.
+    Past SIEVE_LIMIT^2 = 10^18 the sieve refuses with a DomainError."""
+    if n < 4:
+        return n in (2, 3)
+    return all(n % p for p in primes_in(2, math.isqrt(n)).primes)
 
 
 def window_for_size(size: float) -> PrimeWindow:
@@ -176,9 +166,10 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
     clamped to at least 1.  levels=0 returns the bare interval [1..floor(P)].
     """
     k, levels = at_least("k", k, 3), at_least("levels", levels, 0)
-    if not 0.0 < theta <= 1.0:
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    P = as_real("P", P)
+    if (P := as_real("P", P)) <= 0:
+        raise DomainError(f"P must be positive, got {P}")
     at_limit = theta <= 1.0 / k
     if at_limit:
         warnings.warn(f"theta={theta} is at or below 1/k for k={k}; "
@@ -215,7 +206,8 @@ def build_multilevel(spec: SmoothSpec, P: float) -> list[SmoothSet]:
     """
     if spec.mode != "multi" or spec.thetas is None:
         raise DomainError("spec must be a multi-mode spec with a schedule")
-    P = as_real("P", P)
+    if (P := as_real("P", P)) <= 0:
+        raise DomainError(f"P must be positive, got {P}")
     Z = [P**t for t in spec.thetas]
     wins = [_window(z, i, f"Z_{i} = {z:.4g}") for i, z in enumerate(Z, start=1)]
     # P_k = P/Z_1/.../Z_k in that order; P/prod(Z) rounds differently

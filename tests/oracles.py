@@ -2,8 +2,10 @@
 test-only helpers: modified_diff reaches the difference kernel psi_chains
 runs, write_set writes the set files that read_set and count --set read,
 weyl_ratio_per_candidate checks weyl_ratio's one batched pass against
-eval_at at each point, and product_levels_literal builds the smooth_sets
-constructions level by level from their definition."""
+eval_at at each point, product_levels_literal builds the smooth_sets
+constructions level by level from their definition, and plain_sieve,
+trial_division_is_prime and largest_prime_factor answer the primality
+questions smooth_sets.primes_in answers for the package."""
 
 import math
 import operator
@@ -16,6 +18,33 @@ import numpy as np
 from waring import differences, expsum_arcs
 from waring.differences import IntPolynomial
 from waring.errors import DomainError, as_int
+
+
+def plain_sieve(lo: int, hi: int) -> tuple:
+    """Primes in [lo, hi] by one sieve of Eratosthenes over every integer
+    up to hi, base primes included."""
+    flags = bytearray([1]) * (hi + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    return tuple(n for n in range(lo, hi + 1) if flags[n])
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """n > 1 with no divisor among 2..isqrt(n), tried one by one."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def largest_prime_factor(M: int) -> int:
+    """The largest prime dividing M (1 for M = 1): divide out each d from 2
+    up while d^2 is at most what is left, which is then 1 or a prime."""
+    p, d = 1, 2
+    while d * d <= M:
+        while M % d == 0:
+            M, p = M // d, d
+        d += 1
+    return max(p, M)
 
 
 def brute_force_s_count(X, s: int, k: int) -> int:

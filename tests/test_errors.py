@@ -119,7 +119,8 @@ def test_integer_argument_is_read_exactly(monkeypatch, call, good):
             call(bad)
 
 
-# each entry: one call with its real argument v, and a valid value for v
+# each entry: one call with its real argument v, a valid value for v and,
+# where the call refuses v by a range check of its own, that message for v
 REAL_CASES = {
     "PrimeSmooth.make.P": (lambda v: ea.PrimeSmooth.make(3, v), 9.0),
     "build_single_levels.P": (lambda v: ss.build_single_levels(3, v, 0.4, 1), 100.0),
@@ -131,19 +132,52 @@ REAL_CASES = {
         lambda v: df.BalanceGeometry.from_thetas(3, v, [0.3, 0.2, 0.1]), 1e4),
     "exponent_fit.P": (lambda v: ac.exponent_fit([(v, 5), (20, 9), (30, 12)]), 10.0),
     "unit_sum.alpha": (lambda v: phases.unit_sum([1, 2], v), 0.25),
+    "ArcDissection.make.P": (lambda v: ea.ArcDissection.make(v, 3), 10.0,
+                             "P must be finite and >= 2, got {}"),
+    "build_single_levels.theta": (
+        lambda v: ss.build_single_levels(3, 100.0, v, 1), 0.4,
+        "theta must lie in (0, 1], got {}"),
+    "lambda_iterate.theta": (lambda v: be.lambda_iterate(10, 20, v), 0.2,
+                             "theta must lie in (0, 1], got {}"),
+    "theta_schedule.delta_prev": (lambda v: be.theta_schedule(5, v), 1.0,
+                                  "delta_prev must lie in (0, k); got {} for k=5"),
 }
 
 
-@pytest.mark.parametrize("call,good", REAL_CASES.values(), ids=list(REAL_CASES))
-def test_real_argument_is_read_finite(monkeypatch, call, good):
+@pytest.mark.parametrize("case", REAL_CASES.values(), ids=list(REAL_CASES))
+def test_real_argument_is_read_finite(monkeypatch, case):
+    call, good, message = (*case, None)[:3]
     call(good)
     for module in (ac, be, df, ea, phases, ss):
         monkeypatch.setattr(module, "math", _NoWork())
     for module in (ac, ea, phases, ss):
         monkeypatch.setattr(module, "np", _NoWork())
     for bad in (math.nan, math.inf, -math.inf, "3", None):
-        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        want = (re.escape(repr(bad)) if message is None
+                else f"^{re.escape(message.format(bad))}$")
+        with pytest.raises(DomainError, match=want):
             call(bad)
+
+
+SCHEDULE = [0.3, 0.2, 0.1]
+
+
+@pytest.mark.parametrize("call,P", [
+    (lambda P: ss.build_single_levels(3, P, 0.4, 1), -5.0),
+    (lambda P: ss.build_single_levels(3, P, 0.4, 0), -5.0),
+    (lambda P: ss.build_multilevel(ss.multilevel_spec(3, SCHEDULE), P), -1e4),
+    (lambda P: ss.build_multilevel(ss.multilevel_spec(3, SCHEDULE), P), 0.0),
+    (lambda P: ac.lemma1_check(3, 2, P, 0.4), -100.0),
+], ids=["single", "single-levels0", "multi", "multi0", "lemma1"])
+def test_nonpositive_P_is_refused_as_geometry_refuses_it(call, P):
+    # not a complex power's TypeError, the bare interval {1} at levels 0,
+    # nor an EmptyWindowError at P = 0
+    with pytest.raises(DomainError) as err:
+        call(P)
+    assert (type(err.value), str(err.value)) == (DomainError,
+                                                 f"P must be positive, got {P}")
+    with pytest.raises(DomainError, match=f"^{re.escape(str(err.value))}$"):
+        df.BalanceGeometry.from_thetas(3, P, SCHEDULE)
 
 
 @pytest.mark.parametrize("call", [

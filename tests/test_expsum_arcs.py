@@ -104,6 +104,12 @@ class TestSpecs:
         assert val.real == pytest.approx(len(ps.primes) * len(ps.elements))
         assert ea.term_count(ps) == len(ps.primes) * len(ps.elements)
 
+    def test_prime_smooth_takes_the_upper_half_of_a_plain_sieve(self):
+        for P in [*range(4, 2001), 10**6]:
+            X = math.floor(math.sqrt(P))
+            assert ea.PrimeSmooth.make(3, P).primes == tuple(
+                p for p in oracles.plain_sieve(2, X) if 2 * p > X), P
+
     def test_prime_smooth_too_small(self):
         with pytest.raises(DomainError):
             ea.PrimeSmooth.make(3, 2.0)
@@ -427,7 +433,7 @@ class TestExactMoment:
         assert round(mom) == ac.s_count(range(1, 65), 2, 3).S
 
     # float.hex of the grid mean, taken before the grid sums moved from
-    # math.fsum to phases.exact_sum; both grids are past its fsum crossover
+    # math.fsum to phases.exact_sum
     @pytest.mark.parametrize("P,k,power,pinned", [
         (40, 3, 4, "0x1.94ffffffffffep+11"),
         (300, 2, 6, "0x1.97cee92fffffep+32"),
@@ -472,6 +478,14 @@ class TestExactMoment:
     ])
     def test_grid_cost_pinned(self, M, cost):
         assert ea.grid_cost(M) == cost
+
+    def test_grid_cost_follows_largest_prime_factor(self):
+        # a Bluestein charge, 3 * _smooth_ceil(2M - 1), is always above M
+        lengths = [*range(1, 20_001), 2**20 + 1, 540_001, 32_000_001,
+                   2**26 - 1, 2**26 + 1]
+        assert ([M for M in lengths if ea.grid_cost(M) != M]
+                == [M for M in lengths
+                    if oracles.largest_prime_factor(M) ** 2 > M])
 
     def test_smooth_ceil_matches_search(self):
         def smooth(n):

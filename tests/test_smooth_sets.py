@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import product_levels_literal, write_set
+from oracles import (plain_sieve, product_levels_literal,
+                     trial_division_is_prime, write_set)
 from waring import smooth_sets as sm
 from waring.bound_engine import theta_schedule
 from waring.errors import (DomainError, EmptyWindowError, WidthOverflowError)
@@ -38,15 +39,6 @@ class TestPrimesIn:
             sm.primes_in(1, 10)
         with pytest.raises(DomainError):
             sm.primes_in(2, 10**9 + 1)
-
-
-def _plain_sieve(lo, hi):
-    flags = bytearray([1]) * (hi + 1)
-    flags[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(hi) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
-    return tuple(n for n in range(lo, hi + 1) if flags[n])
 
 
 def _every_integer_sieve(lo, hi):
@@ -84,7 +76,7 @@ class TestSegmentedSieve:
         (5 * 10**6 + 1, 5 * 10**6 + 5000),
     ])
     def test_matches_plain_sieve(self, lo, hi):
-        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+        assert sm.primes_in(lo, hi).primes == plain_sieve(lo, hi)
 
     # segments start on odd multiples of 3: 51 = 3 * 17 and 243 = 3^5 in
     # (51, 400), 3 and 195 = 3 * 65 in (2, 3000)
@@ -93,13 +85,13 @@ class TestSegmentedSieve:
                                        (51, 400)])
     def test_many_segments(self, monkeypatch, lo, hi):
         monkeypatch.setattr(sm, "_SEGMENT", 64)
-        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+        assert sm.primes_in(lo, hi).primes == plain_sieve(lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [(2, 2), (2, 3), (4, 4), (2, 500),
                                        (4, 500), (9, 9), (51, 400)])
     def test_one_odd_number_per_segment(self, monkeypatch, lo, hi):
         monkeypatch.setattr(sm, "_SEGMENT", 2)
-        assert sm.primes_in(lo, hi).primes == _plain_sieve(lo, hi)
+        assert sm.primes_in(lo, hi).primes == plain_sieve(lo, hi)
 
     def test_peak_no_higher_than_every_integer_sieve(self):
         # the segments hold odd numbers only, so the peak, set by the list of
@@ -118,8 +110,26 @@ class TestSegmentedSieve:
         assert all(type(p) is int for p in sm.primes_in(2, 100).primes)
 
     def test_is_prime_matches_sieve(self):
-        primes = set(_plain_sieve(2, 5000))
+        primes = set(plain_sieve(2, 5000))
         assert [n for n in range(-5, 5001) if sm.is_prime(n)] == sorted(primes)
+
+    # squares of base primes, and 8 just below the first recursion, which
+    # starts at hi = 9 with the base prime 3 from primes_in(3, 3)
+    @pytest.mark.parametrize("hi", [8, 9, 25, 49, 121])
+    def test_windows_ending_at_base_prime_squares(self, hi):
+        for lo in range(2, hi + 1):
+            assert sm.primes_in(lo, hi).primes == plain_sieve(lo, hi)
+
+    def test_is_prime_matches_trial_division(self):
+        ns = [*range(-5, 20_001), 10**9 + 7, 2**31 - 1, (10**6 + 3) ** 2,
+              10**12 + 39]
+        assert ([n for n in ns if sm.is_prime(n)]
+                == [n for n in ns if trial_division_is_prime(n)])
+
+    def test_is_prime_past_the_sieve_limit_is_refused(self):
+        # its square root is past the sieve limit, so no sieve is run
+        with pytest.raises(DomainError, match="exceeds sieve limit"):
+            sm.is_prime((sm.SIEVE_LIMIT + 1) ** 2)
 
 
 class TestBuildSingle:
