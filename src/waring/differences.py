@@ -232,8 +232,7 @@ class BalanceGeometry:
         thetas = tuple(float(t) for t in thetas)
         if len(thetas) != (k := as_int(k)):
             raise DomainError(f"need {k} construction exponents, got {len(thetas)}")
-        if as_real("P", P) <= 0:
-            raise DomainError(f"P must be positive, got {P}")
+        as_real("P", P, positive=True)
         Z = tuple(P**t for t in thetas)
         H = tuple(P / z**k for z in Z)
         levels = [float(P)]

@@ -35,9 +35,12 @@ def at_least(name: str, v, least: int) -> int:
     return n
 
 
-def as_real(name: str, v) -> float:
-    """v as a finite float; nan, an infinity, a str, None or any non-real is refused."""
+def as_real(name: str, v, positive: bool = False) -> float:
+    """v as a finite float; nan, an infinity, a str, None or any non-real is
+    refused, and so is v <= 0 when positive is set."""
     if isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max:
+        if positive and v <= 0:
+            raise DomainError(f"{name} must be positive, got {v}")
         return float(v)
     raise DomainError(f"{name} must be a finite real number, got {v!r}")
 

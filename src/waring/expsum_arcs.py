@@ -344,8 +344,7 @@ def grid_cost(M: int) -> int:
     M, unless the largest prime factor p of M has p^2 > M: numpy's FFT then
     runs a padded Bluestein transform, three transforms of the least
     11-smooth length >= 2M - 1, and that is the charge.  Such a p is what
-    is left of M divided by every prime up to isqrt(M); M = 2 and 3, with
-    no such prime, are charged as their own p.
+    is left of M divided by every prime up to isqrt(M), M itself if M < 4.
     """
     rest = M
     for p in smooth_sets.primes_in(2, math.isqrt(M)).primes if M >= 4 else ():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import truediv
@@ -75,11 +76,13 @@ def primes_in(lo: int, hi: int) -> PrimeWindow:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: no prime of primes_in(2, isqrt(n)) divides it.
-    Past SIEVE_LIMIT^2 = 10^18 the sieve refuses with a DomainError."""
+    """Whether no prime up to isqrt(n), read from primes_in a segment at a
+    time, divides n; a walk past SIEVE_LIMIT (n > 10^18) is refused there."""
     if n < 4:
         return n in (2, 3)
-    return all(n % p for p in primes_in(2, math.isqrt(n)).primes)
+    r = math.isqrt(n)
+    return all(all(n % p for p in primes_in(lo, min(lo + _SEGMENT - 1, r)).primes)
+               for lo in range(2, r + 1, _SEGMENT))
 
 
 def window_for_size(size: float) -> PrimeWindow:
@@ -168,8 +171,7 @@ def build_single_levels(k: int, P: float, theta: float, levels: int) -> SmoothSe
     k, levels = at_least("k", k, 3), at_least("levels", levels, 0)
     if not (isinstance(theta, numbers.Real) and 0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if (P := as_real("P", P)) <= 0:
-        raise DomainError(f"P must be positive, got {P}")
+    P = as_real("P", P, positive=True)
     at_limit = theta <= 1.0 / k
     if at_limit:
         warnings.warn(f"theta={theta} is at or below 1/k for k={k}; "
@@ -206,8 +208,7 @@ def build_multilevel(spec: SmoothSpec, P: float) -> list[SmoothSet]:
     """
     if spec.mode != "multi" or spec.thetas is None:
         raise DomainError("spec must be a multi-mode spec with a schedule")
-    if (P := as_real("P", P)) <= 0:
-        raise DomainError(f"P must be positive, got {P}")
+    P = as_real("P", P, positive=True)
     Z = [P**t for t in spec.thetas]
     wins = [_window(z, i, f"Z_{i} = {z:.4g}") for i, z in enumerate(Z, start=1)]
     # P_k = P/Z_1/.../Z_k in that order; P/prod(Z) rounds differently
@@ -229,17 +230,12 @@ def residue_profile(elements, q: int) -> ResidueProfile:
     """Exact counts of elements per residue class coprime to q."""
     q = at_least("q", q, 2)
     elems = getattr(elements, "elements", elements)
-    coprime = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-    counts = {a: 0 for a in coprime}
-    for x in elems:
-        r = x % q
-        if r in counts:
-            counts[r] += 1
-    n = len(elems)
-    phi_q = len(coprime)
-    if n == 0:
+    if len(elems) == 0:
         raise DomainError("empty element set")
-    max_dev = max(abs(counts[a] * phi_q / n - 1.0) for a in coprime)
+    hits = Counter(x % q for x in elems)
+    counts = {a: hits[a] for a in range(1, q + 1) if math.gcd(a, q) == 1}
+    phi_q = len(counts)
+    max_dev = max(abs(c * phi_q / len(elems) - 1.0) for c in counts.values())
     return ResidueProfile(q=q, counts=counts, phi_q=phi_q,
                           max_deviation=max_dev)
 

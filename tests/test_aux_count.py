@@ -131,6 +131,16 @@ class TestTpqCount:
         with pytest.raises(DomainError):
             ac.t_pq_count([1, 3], 2, 2, 4, 5)
 
+    def test_large_even_q_is_refused_in_one_segment(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"q={10**18} is not prime"):
+                ac.t_pq_count([1, 3], 2, 2, 5, 10**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             ac.t_pq_count(list(range(1, 32, 2)), 4, 2, 2, 3, budget_ops=10**6)

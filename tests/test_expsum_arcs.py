@@ -433,7 +433,7 @@ class TestExactMoment:
         assert round(mom) == ac.s_count(range(1, 65), 2, 3).S
 
     # float.hex of the grid mean, taken before the grid sums moved from
-    # math.fsum to phases.exact_sum
+    # math.fsum to phases.exact_sum; both grids are past its fsum crossover
     @pytest.mark.parametrize("P,k,power,pinned", [
         (40, 3, 4, "0x1.94ffffffffffep+11"),
         (300, 2, 6, "0x1.97cee92fffffep+32"),

@@ -126,10 +126,25 @@ class TestSegmentedSieve:
         assert ([n for n in ns if sm.is_prime(n)]
                 == [n for n in ns if trial_division_is_prime(n)])
 
-    def test_is_prime_past_the_sieve_limit_is_refused(self):
-        # its square root is past the sieve limit, so no sieve is run
-        with pytest.raises(DomainError, match="exceeds sieve limit"):
-            sm.is_prime((sm.SIEVE_LIMIT + 1) ** 2)
+    def test_is_prime_past_the_sieve_limit_is_refused(self, monkeypatch):
+        # 10,211 is prime and isqrt of it is 101, so the walk's second
+        # segment [66, 101] passes the limit; 10,212's factor 2 is in the first
+        monkeypatch.setattr(sm, "SIEVE_LIMIT", 100)
+        monkeypatch.setattr(sm, "_SEGMENT", 64)
+        with pytest.raises(DomainError, match="exceeds sieve limit 100"):
+            sm.is_prime(10_211)
+        assert not sm.is_prime(10_212)
+
+    @pytest.mark.parametrize("n", [2 * 10**17, 2 * 10**18, 7 * (10**18 + 9)])
+    def test_a_small_factor_answers_in_one_segment(self, n):
+        # the first segment's primes, not every prime up to isqrt(n)
+        tracemalloc.start()
+        try:
+            assert not sm.is_prime(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBuildSingle:
